@@ -23,7 +23,7 @@ Methodology notes mirrored from section 6.1:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,16 +35,13 @@ from repro.mem.machine import MachineModel
 from repro.sim.clock import NS_PER_SEC
 from repro.sim.events import Simulation
 from repro.storage.ssd import SSD
-from repro.workloads.ycsb import (
-    Operation,
-    WorkloadSpec,
-    generate_operations,
-    iter_op_batches,
-    load_operations,
-    make_key,
-)
+from repro.workloads.compiled import CompiledStream, compile_workload
+from repro.workloads.ycsb import OpBatch, WorkloadSpec, make_key
 
 PAPER_HEAP_GB = 17.5  # the paper's initial dataset, used to label budgets
+
+#: Operations per replay batch (one vectorized value-seed pass each).
+BATCH_SIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -294,164 +291,92 @@ class YCSBRunner:
         )
         self._nonce = 0
 
-    def load(self) -> None:
-        """The YCSB load phase (excluded from measurements)."""
-        for op in load_operations(self.scale.record_count, self.scale.value_size):
-            self.store.put(op.key, value_bytes(op.key, self.scale.value_size))
+    def load(self, keys: Optional[Sequence[bytes]] = None) -> None:
+        """The YCSB load phase (excluded from measurements).
 
-    def load_batched(self, batch_size: int = 2048) -> None:
-        """The load phase through the fused put path (same store image)."""
-        if self.store.index is not None:
-            self.load()
-            return
-        from repro.kvstore.fastpath import build_fast_ops
-
-        put = build_fast_ops(self.store).put
+        Puts every key's initial (nonce 0) value, in order; ``keys``
+        defaults to all ``record_count`` records.  A cluster shard loads
+        only the records it owns, and replays its migrated-in keys the
+        same way.
+        """
+        if keys is None:
+            keys = [make_key(i) for i in range(self.scale.record_count)]
+        put = self.store.put
         size = self.scale.value_size
         reps = -(-size // 8)
-        for start in range(0, self.scale.record_count, batch_size):
-            stop = min(start + batch_size, self.scale.record_count)
-            keys = [make_key(index) for index in range(start, stop)]
-            seeds = value_seeds_batch(keys, [0] * len(keys))
-            for key, seed in zip(keys, seeds):
+        for start in range(0, len(keys), BATCH_SIZE):
+            chunk = keys[start : start + BATCH_SIZE]
+            seeds = value_seeds_batch(chunk, [0] * len(chunk))
+            for key, seed in zip(chunk, seeds):
                 put(key, (seed * reps)[:size])
 
-    def _execute(self, op: Operation) -> str:
-        """Run one operation; returns the latency bucket it belongs to."""
-        if op.kind == "read":
-            self.store.get(op.key)
-            return "read"
-        self._nonce += 1
-        if op.kind == "update":
-            self.store.put(
-                op.key, value_bytes(op.key, self.scale.value_size, self._nonce)
-            )
-            return "update"
-        if op.kind == "insert":
-            self.store.put(
-                op.key, value_bytes(op.key, self.scale.value_size, self._nonce)
-            )
-            return "insert"
-        if op.kind == "rmw":
-            nonce = self._nonce
-
-            def mutate(value: bytes) -> bytes:
-                return value_bytes(op.key, len(value), nonce)
-
-            self.store.read_modify_write(op.key, mutate)
-            return "rmw"
-        if op.kind == "scan":
-            self.store.scan(op.key, op.scan_length)
-            return "scan"
-        raise ValueError(f"unknown operation kind: {op.kind}")
-
     def run(
-        self,
-        spec: WorkloadSpec,
-        operations: Optional[Iterable[Operation]] = None,
+        self, spec: WorkloadSpec, batches: Optional[Iterable[OpBatch]] = None
     ) -> RunResult:
-        """Replay one workload, measuring per-op latency as clock deltas."""
-        if operations is None:
-            operations = generate_operations(
+        """Replay one workload, measuring per-op latency as clock deltas.
+
+        ``batches`` defaults to ``spec``'s stream at this scale, compiled
+        in-process.  They are pulled one at a time, each only after the
+        previous batch's last operation has completed, so a producer may
+        act on the system between batches (a cluster shard re-tunes its
+        lease at each epoch boundary).  Each batch's update, insert and
+        rmw payloads come from one vectorized seed pass; the nonces
+        number every non-read operation in stream order.
+        """
+        if batches is None:
+            batches = compile_workload(
                 spec,
-                record_count=self.scale.record_count,
-                operation_count=self.scale.operation_count,
+                self.scale.record_count,
+                self.scale.operation_count,
                 value_size=self.scale.value_size,
                 theta=self.scale.zipf_theta,
                 seed=self.scale.seed,
-            )
+            ).batches(BATCH_SIZE)
         from repro.bench.histogram import LatencyHistogram
 
-        samples: Dict[str, LatencyHistogram] = {}
-        ssd = getattr(self.system, "ssd", None)
-        bytes_before = ssd.stats.bytes_written if ssd is not None else 0
-        started = self.sim.now
-        executed = 0
-        for op in operations:
-            op_start = self.sim.now
-            bucket = self._execute(op)
-            samples.setdefault(bucket, LatencyHistogram()).record(
-                self.sim.now - op_start
-            )
-            executed += 1
-        elapsed = self.sim.now - started
-        return self._result(spec, executed, elapsed, samples, ssd, bytes_before)
-
-    def run_batched(
-        self, spec: WorkloadSpec, batch_size: int = 2048, compiled=None
-    ) -> RunResult:
-        """Replay one workload through the batched execution path.
-
-        Operations are generated in chunks (:func:`iter_op_batches`),
-        value payloads come from one vectorized hash pass per chunk, and
-        every store operation runs through the fused closures of
-        :mod:`repro.kvstore.fastpath`.  Simulated results are
-        byte-identical to :meth:`run` — only wall time changes.  Scans
-        (ordered stores) fall back to the per-op path.
-
-        ``compiled`` is an optional pre-compiled stream
-        (:class:`repro.workloads.compiled.CompiledStream`): batches then
-        come from array slices — the same ops, no generator re-run.
-        """
-        if spec.scan_proportion > 0 or self.store.index is not None:
-            if compiled is not None:
-                return self.run(spec, operations=compiled.operations())
-            return self.run(spec)
-        from repro.bench.histogram import LatencyHistogram
-        from repro.kvstore.fastpath import build_fast_ops
-
-        fast = build_fast_ops(self.store)
-        fast_get, fast_put, fast_rmw = fast.get, fast.put, fast.rmw
+        store = self.store
+        get, put, rmw, scan = (
+            store.get, store.put, store.read_modify_write, store.scan
+        )
         clock = self.sim.clock
         size = self.scale.value_size
         reps = -(-size // 8)
         samples: Dict[str, LatencyHistogram] = {}
-        histogram_for = samples.setdefault
         ssd = getattr(self.system, "ssd", None)
         bytes_before = ssd.stats.bytes_written if ssd is not None else 0
         started = clock._now
         executed = 0
-        for batch in iter_op_batches(
-            spec,
-            record_count=self.scale.record_count,
-            operation_count=self.scale.operation_count,
-            value_size=size,
-            theta=self.scale.zipf_theta,
-            seed=self.scale.seed,
-            batch_size=batch_size,
-            compiled=compiled,
-        ):
+        for batch in batches:
             kinds = batch.kinds
             keys = batch.keys
-            # One vectorized hash pass covers every mutating op's payload
-            # seed; nonces continue the per-op path's numbering exactly.
-            mutating = [
-                index for index, kind in enumerate(kinds) if kind != "read"
-            ]
+            scan_lengths = batch.scan_lengths
+            numbered = [i for i, kind in enumerate(kinds) if kind != "read"]
             nonce = self._nonce
             seeds = value_seeds_batch(
-                [keys[index] for index in mutating],
-                range(nonce + 1, nonce + 1 + len(mutating)),
+                [keys[index] for index in numbered],
+                range(nonce + 1, nonce + 1 + len(numbered)),
             )
-            self._nonce = nonce + len(mutating)
-            seed_at = dict(zip(mutating, seeds))
+            self._nonce = nonce + len(numbered)
+            seed_at = dict(zip(numbered, seeds))
             for index, kind in enumerate(kinds):
                 op_start = clock._now
                 if kind == "read":
-                    fast_get(keys[index])
+                    get(keys[index])
                 elif kind == "rmw":
-                    seed = seed_at[index]
-                    fast_rmw(
+                    rmw(
                         keys[index],
-                        lambda val_len, _seed=seed: (
-                            _seed * (-(-val_len // 8))
-                        )[:val_len],
+                        lambda value, _seed=seed_at[index]: (
+                            _seed * -(-len(value) // 8)
+                        )[: len(value)],
                     )
+                elif kind == "scan":
+                    scan(keys[index], scan_lengths[index])
                 else:  # update | insert
-                    fast_put(keys[index], (seed_at[index] * reps)[:size])
-                histogram_for(kind, LatencyHistogram()).record(
-                    clock._now - op_start
-                )
+                    put(keys[index], (seed_at[index] * reps)[:size])
+                histogram = samples.get(kind)
+                if histogram is None:
+                    histogram = samples[kind] = LatencyHistogram()
+                histogram.record(clock._now - op_start)
                 executed += 1
         elapsed = clock._now - started
         return self._result(spec, executed, elapsed, samples, ssd, bytes_before)
@@ -544,26 +469,20 @@ def run_workload(
     budget_fraction: Optional[float],
     flush_tlb_on_scan: bool = True,
     proactive: bool = True,
-    execution: str = "per-op",
     budget_pages: Optional[int] = None,
-    compiled=None,
+    compiled: Optional[CompiledStream] = None,
 ) -> RunResult:
     """Convenience: build, load, run.  ``budget_fraction=None`` = baseline.
 
-    ``execution="batched"`` routes the load and run phases through the
-    fused batch paths — same simulated results, fewer wall seconds; the
-    sweep engine and the batch-speedup benchmark use it.  An explicit
-    ``budget_pages`` (cluster lease) overrides the fraction-derived
-    budget; it is an error without a non-``None`` ``budget_fraction``,
-    because the baseline has no budget to override.
+    An explicit ``budget_pages`` (cluster lease) overrides the
+    fraction-derived budget; it is an error without a non-``None``
+    ``budget_fraction``, because the baseline has no budget to override.
 
     ``compiled`` replays a pre-compiled op stream
     (:class:`repro.workloads.compiled.CompiledStream`) instead of
-    re-running the generators — it must match the scale's parameters
+    compiling one in-process — it must match the scale's parameters
     (checked), so simulated results cannot change.
     """
-    if execution not in ("per-op", "batched"):
-        raise ValueError(f"unknown execution mode: {execution!r}")
     if compiled is not None:
         compiled.require(
             spec,
@@ -589,10 +508,8 @@ def run_workload(
             budget_pages=budget_pages,
         )
     runner = YCSBRunner(sim, system, scale, ordered=spec.scan_proportion > 0)
-    if execution == "batched":
-        runner.load_batched()
-        return runner.run_batched(spec, compiled=compiled)
     runner.load()
-    if compiled is not None:
-        return runner.run(spec, operations=compiled.operations())
-    return runner.run(spec)
+    return runner.run(
+        spec,
+        batches=compiled.batches(BATCH_SIZE) if compiled is not None else None,
+    )

@@ -879,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--select", type=str, default=None,
                       help="comma-separated rule IDs to run (default: all)")
     lint.add_argument("--strict", action="store_true",
-                      help="also run the whole-program rules (W1/R1/K1/P1)")
+                      help="also run the whole-program rules (W1/R1/P1)")
     lint.add_argument("--baseline", nargs="?", const="lint_baseline.json",
                       default=None, metavar="FILE",
                       help="suppress grandfathered findings from FILE "

@@ -47,17 +47,26 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.bench.runner import (
+    BATCH_SIZE,
     ExperimentScale,
     PAPER_HEAP_GB,
     YCSBRunner,
     build_baseline,
     build_viyojit,
-    value_bytes,
 )
 from repro.cluster.forecast import (
     DEFAULT_EWMA_ALPHA,
@@ -97,6 +106,7 @@ from repro.workloads.compiled import (
     save_ops,
 )
 from repro.workloads.ycsb import (
+    OpBatch,
     Operation,
     YCSB_WORKLOADS,
     generate_operations,
@@ -209,10 +219,11 @@ def iter_segment_ops(
 ) -> Iterator[Tuple[int, int, Operation]]:
     """The global op stream, segmented, with optional hotspot rotation.
 
-    Yields ``(position, segment, op)``.  Every consumer of the global
-    stream — the coordinator's demand probe and every shard worker —
-    iterates through this one helper, so the rotation arithmetic cannot
-    drift between them.
+    Yields ``(position, segment, op)``.  This is the per-op definition
+    of the cluster's stream; runs replay it compiled
+    (:func:`repro.workloads.compiled.compile_workload` with ``epochs``
+    and ``hotspot_rotate_keys``), and the tests hold the compiled probe
+    and shard routing to this reference.
 
     ``rotate_keys`` shifts each non-insert operation's key index by
     ``segment * rotate_keys`` (mod ``record_count``): the zipfian
@@ -589,21 +600,49 @@ class ClusterPlan:
     migrations: List[Dict[str, object]] = field(default_factory=list)
 
 
-def _probe_compiled(
+def _compile_stream(
+    params: Union["ClusterGrid", "ClusterSpec", "ShardJob"]
+) -> CompiledStream:
+    """The cluster's global op stream, compiled in-process.
+
+    ``params`` is a :class:`ClusterGrid`, :class:`ClusterSpec` or
+    :class:`ShardJob` — each carries the stream's parameters: workload,
+    dataset, seed, epoch segmentation and hotspot rotation.
+    """
+    return compile_workload(
+        YCSB_WORKLOADS[params.workload],
+        params.record_count,
+        params.operation_count,
+        value_size=ExperimentScale().value_size,
+        theta=params.theta,
+        seed=params.seed,
+        epochs=params.epochs,
+        hotspot_rotate_keys=params.hotspot_rotate_keys,
+    )
+
+
+def _probe(
     spec: ClusterSpec,
     rings: Sequence[HashRing],
-    stream: CompiledStream,
+    stream: Optional[CompiledStream] = None,
 ) -> Tuple[List[List[List[int]]], List[List[bytes]]]:
-    """The demand probe as vectorized array passes over a compiled stream.
+    """One pass: demand matrices plus inserted keys per epoch.
 
-    Per epoch segment: one boolean mask finds the written ops, one
-    ``np.unique`` replaces the per-key set building (a key's tenant and
-    shard are pure functions of the key within an epoch, so distinct
-    indices ≡ distinct keys), one ``shard_for_rows`` routing pass, and
-    one ``np.bincount`` over ``tenant × shard`` buckets.  Output is
-    identical to the per-op :func:`_probe` pass — the equivalence tests
-    pin it.
+    ``demands[epoch][tenant][shard]`` counts distinct written keys;
+    ``inserts[epoch]`` lists the keys inserts created during that epoch
+    segment (the coordinator needs them to size migration handoffs —
+    live keys are the loaded records plus every insert so far).
+
+    Vectorized over the compiled ``stream`` (compiled in-process when
+    absent).  Per epoch segment: one boolean mask finds the written
+    ops, one ``np.unique`` stands in for per-key set building (a key's
+    tenant and shard are pure functions of the key within an epoch, so
+    distinct indices ≡ distinct keys), one ``shard_for_rows`` routing
+    pass, and one ``np.bincount`` over ``tenant × shard`` buckets.  The
+    tests pin it against a per-op pass over :func:`iter_segment_ops`.
     """
+    if stream is None:
+        stream = _compile_stream(spec)
     total_shards = spec.total_shards()
     demands: List[List[List[int]]] = []
     inserts: List[List[bytes]] = []
@@ -631,60 +670,6 @@ def _probe_compiled(
     return demands, inserts
 
 
-def _probe(
-    spec: ClusterSpec,
-    rings: Sequence[HashRing],
-    stream: Optional[CompiledStream] = None,
-) -> Tuple[List[List[List[int]]], List[List[bytes]]]:
-    """One streaming pass: demand matrices plus inserted keys per epoch.
-
-    ``demands[epoch][tenant][shard]`` counts distinct written keys;
-    ``inserts[epoch]`` lists the keys inserts created during that epoch
-    segment (the coordinator needs them to size migration handoffs —
-    live keys are the loaded records plus every insert so far).  With a
-    compiled ``stream`` the probe is the vectorized
-    :func:`_probe_compiled`; without one it replays the per-op
-    generator.
-    """
-    if stream is not None:
-        return _probe_compiled(spec, rings, stream)
-    total_shards = spec.total_shards()
-    written: List[List[List[set]]] = [
-        [[set() for _ in range(total_shards)] for _ in range(spec.tenants)]
-        for _ in range(spec.epochs)
-    ]
-    inserts: List[List[bytes]] = [[] for _ in range(spec.epochs)]
-    scale = spec.scale()
-    for _, segment, op in iter_segment_ops(
-        spec.workload,
-        spec.record_count,
-        spec.operation_count,
-        scale.value_size,
-        spec.theta,
-        spec.seed,
-        spec.epochs,
-        spec.hotspot_rotate_keys,
-    ):
-        if op.kind == "insert":
-            inserts[segment].append(op.key)
-        if op.kind not in ("update", "insert", "rmw"):
-            continue
-        shard = rings[segment].shard_for(op.key)
-        tenant = key_index(op.key) % spec.tenants
-        written[segment][tenant][shard].add(op.key)
-    demands = [
-        [
-            [
-                len(written[epoch][tenant][shard])
-                for shard in range(total_shards)
-            ]
-            for tenant in range(spec.tenants)
-        ]
-        for epoch in range(spec.epochs)
-    ]
-    return demands, inserts
-
-
 def probe_demands(
     spec: ClusterSpec,
     ring: Optional[HashRing] = None,
@@ -697,8 +682,8 @@ def probe_demands(
     for the segment the op falls in.  This is the pressure signal the
     rebalancer apportions by.  ``ring`` overrides the routing ring for
     every epoch (membership-free callers); by default the spec's own
-    per-epoch ring schedule routes each segment.  ``stream`` vectorizes
-    the pass (see :func:`_probe_compiled`).
+    per-epoch ring schedule routes each segment.  ``stream`` is the
+    spec's compiled op stream (compiled in-process when absent).
     """
     rings = [ring] * spec.epochs if ring is not None else spec.rings()
     demands, _ = _probe(spec, rings, stream=stream)
@@ -712,49 +697,28 @@ def stream_route_counts(
     """The cluster's full stream-consumption work, as one summary dict.
 
     Performs exactly the op-stream passes a cluster run pays for:
-    the coordinator's demand probe plus, for every shard, the global
-    filtered routing pass its worker replays.  Returns ``demands``
-    (the probe matrices), ``inserted`` (insert count per epoch) and
+    the coordinator's demand probe plus, for every epoch segment, the
+    routing pass the shard workers replay.  Returns ``demands`` (the
+    probe matrices), ``inserted`` (insert count per epoch) and
     ``routed_ops`` (ops routed to each shard; sums to the operation
-    count times the shard-pass count's worth of routing decisions).
-
-    Without a ``stream`` each pass re-generates the workload per-op —
-    one generator run for the probe and one per shard — which is the
-    pre-compilation cost model.  With a ``stream`` the probe and the
-    routing collapse to vectorized array passes over one compiled
-    stream; the returned counts are identical either way (the
-    equivalence tests pin it).  This is the A/B surface the perf suite
-    benchmarks.
+    count).  ``stream`` is the spec's compiled op stream (compiled
+    in-process when absent).  The perf suite benchmarks this pass.
     """
+    if stream is None:
+        stream = _compile_stream(spec)
     rings = spec.rings()
     demands, inserts = _probe(spec, rings, stream=stream)
     total_shards = spec.total_shards()
     routed = [0] * total_shards
-    if stream is not None:
-        for epoch in range(spec.epochs):
-            lo, hi = stream.segment_slice(epoch)
-            if lo == hi:
-                continue
-            indices = np.asarray(stream.key_indices[lo:hi])
-            owners = rings[epoch].shard_for_rows(key_rows(indices))
-            counts = np.bincount(owners, minlength=total_shards)
-            for shard in range(total_shards):
-                routed[shard] += int(counts[shard])
-    else:
-        scale = spec.scale()
+    for epoch in range(spec.epochs):
+        lo, hi = stream.segment_slice(epoch)
+        if lo == hi:
+            continue
+        indices = np.asarray(stream.key_indices[lo:hi])
+        owners = rings[epoch].shard_for_rows(key_rows(indices))
+        counts = np.bincount(owners, minlength=total_shards)
         for shard in range(total_shards):
-            for _, segment, op in iter_segment_ops(
-                spec.workload,
-                spec.record_count,
-                spec.operation_count,
-                scale.value_size,
-                spec.theta,
-                spec.seed,
-                spec.epochs,
-                spec.hotspot_rotate_keys,
-            ):
-                if rings[segment].shard_for(op.key) == shard:
-                    routed[shard] += 1
+            routed[shard] += int(counts[shard])
     return {
         "demands": demands,
         "inserted": [len(keys) for keys in inserts],
@@ -904,9 +868,9 @@ def plan_cluster(
     plan is measured for every non-legacy pool run.  Baseline clusters
     (no pool) plan no leases.
 
-    ``stream`` (a compiled op stream matching the spec) vectorizes the
-    demand probe; ``probe_cache`` (shared across a grid's specs)
-    reuses probe output between runs that differ only in budget.
+    ``stream`` is the spec's compiled op stream (compiled in-process
+    for the probe when absent); ``probe_cache`` (shared across a grid's
+    specs) reuses probe output between runs that differ only in budget.
     Neither can change the plan — only how fast it is computed.
     """
     rings = spec.rings()
@@ -1163,25 +1127,33 @@ def _apply_lease(system: Viyojit, pages: int) -> None:
         system.drain_to_budget()
 
 
-def _shard_operations_compiled(
+def _shard_batches(
     job: ShardJob,
     rings: Sequence[HashRing],
     system: Optional[Viyojit],
-    store,
-    value_size: int,
+    runner: YCSBRunner,
     stream: CompiledStream,
     counters: Dict[str, object],
-) -> Iterator[Operation]:
-    """:func:`_shard_operations` over a compiled stream: array passes.
+) -> Iterator[OpBatch]:
+    """The global op stream filtered to this shard, applying leases.
 
-    Per epoch segment, ownership is one vectorized ``shard_for_rows``
-    routing pass and tenant attribution one ``np.bincount`` — the
-    worker never materializes another shard's operations.  Boundary
-    semantics replicate the lazy per-op loop exactly: advancing into
-    segment ``e`` applies lease ``e`` then replays the membership
-    handoff sized against the live keyspace *before* ``e``'s first op
-    (records plus every insert at earlier positions, across all
-    shards), and segments past the last operation are never entered.
+    Filtering the *global* stream keeps the partition exact — every op
+    goes to precisely one shard.  Per epoch segment, ownership is one
+    vectorized ``shard_for_rows`` routing pass and tenant attribution
+    one ``np.bincount``; the worker never materializes another shard's
+    operations.
+
+    :meth:`YCSBRunner.run` pulls each batch only after the previous
+    one's last operation has completed, so the work done here before a
+    segment's first batch lands exactly between two of this shard's
+    operations.  Entering segment ``e > 0`` applies lease ``e`` first
+    (shrinking shards drain under the budget they are giving up); at a
+    membership change it then puts every live key this shard gains
+    under the new ring — the migrated-in data must exist before a read
+    can route here for it.  The live keyspace at that boundary is the
+    loaded records plus every insert before ``e``'s first op, across
+    all shards.  Segments past the stream's last operation are never
+    entered.
     """
     schedule = job.budget_schedule
     tenant_ops: List[int] = [0] * job.tenants
@@ -1216,11 +1188,13 @@ def _shard_operations_compiled(
                     )
                 )
                 live_keys = record_keys + insert_keys[:grown]
-                for key in before.moved_keys(after, live_keys):
-                    if after.shard_for(key) != job.shard:
-                        continue
-                    store.put(key, value_bytes(key, value_size))
-                    migrated_in += 1
+                incoming = [
+                    key
+                    for key in before.moved_keys(after, live_keys)
+                    if after.shard_for(key) == job.shard
+                ]
+                runner.load(incoming)
+                migrated_in += len(incoming)
         lo, hi = int(bounds[segment]), int(bounds[segment + 1])
         if lo == hi:
             continue
@@ -1237,95 +1211,20 @@ def _shard_operations_compiled(
         )
         for tenant in range(job.tenants):
             tenant_ops[tenant] += int(per_tenant[tenant])
-        codes = np.asarray(stream.codes[lo:hi])[own].tolist()
+        kinds = [
+            KIND_NAMES[code]
+            for code in np.asarray(stream.codes[lo:hi])[own].tolist()
+        ]
         keys = key_array(own_indices).tolist()
-        sizes = np.asarray(stream.value_sizes[lo:hi])[own].tolist()
         scans = np.asarray(stream.scan_lengths[lo:hi])[own].tolist()
-        for code, key, size, scan in zip(codes, keys, sizes, scans):
-            yield Operation(
-                KIND_NAMES[code], key, value_size=size, scan_length=scan
+        for start in range(0, own_count, BATCH_SIZE):
+            stop = start + BATCH_SIZE
+            yield OpBatch(
+                kinds=tuple(kinds[start:stop]),
+                keys=tuple(keys[start:stop]),
+                value_size=stream.value_size,
+                scan_lengths=tuple(scans[start:stop]),
             )
-    counters["routed_ops"] = routed
-    counters["tenant_ops"] = list(tenant_ops)
-    counters["migrated_in_keys"] = migrated_in
-
-
-def _shard_operations(
-    job: ShardJob,
-    rings: Sequence[HashRing],
-    system: Optional[Viyojit],
-    store,
-    value_size: int,
-    counters: Dict[str, object],
-    stream: Optional[CompiledStream] = None,
-) -> Iterator[Operation]:
-    """The global op stream filtered to this shard, applying leases.
-
-    Iterating the *global* stream keeps the partition exact — every op
-    goes to precisely one shard — and advancing past an epoch-segment
-    boundary re-tunes the budget between this shard's operations, which
-    is deterministic because the stream and the schedule both are.
-
-    At a boundary whose ring differs from the previous epoch's, the
-    worker replays the ownership handoff: the lease is applied first
-    (shrinking shards drain under the budget they are giving up), then
-    every live key this shard gains under the new ring is put before
-    any of the epoch's operations are served — the migrated-in data
-    must exist before a read can route here for it.
-
-    With a compiled ``stream`` the filtering dispatches to the
-    vectorized :func:`_shard_operations_compiled`; the yielded ops and
-    every counter are identical either way.
-    """
-    if stream is not None:
-        yield from _shard_operations_compiled(
-            job, rings, system, store, value_size, stream, counters
-        )
-        return
-    schedule = job.budget_schedule
-    tenant_ops: List[int] = [0] * job.tenants
-    current_segment = 0
-    routed = 0
-    migrated_in = 0
-    track_keys = bool(job.membership)
-    live_keys: List[bytes] = (
-        [make_key(index) for index in range(job.record_count)]
-        if track_keys
-        else []
-    )
-    for _, segment, op in iter_segment_ops(
-        job.workload,
-        job.record_count,
-        job.operation_count,
-        value_size,
-        job.theta,
-        job.seed,
-        job.epochs,
-        job.hotspot_rotate_keys,
-    ):
-        while current_segment < segment:
-            current_segment += 1
-            if schedule is not None and system is not None:
-                _apply_lease(system, schedule[current_segment])
-            if track_keys and (
-                rings[current_segment] is not rings[current_segment - 1]
-            ):
-                before = rings[current_segment - 1]
-                after = rings[current_segment]
-                for key in before.moved_keys(after, live_keys):
-                    if after.shard_for(key) != job.shard:
-                        continue
-                    store.put(key, value_bytes(key, value_size))
-                    migrated_in += 1
-        if rings[current_segment].shard_for(op.key) != job.shard:
-            if track_keys and op.kind == "insert":
-                live_keys.append(op.key)
-            continue
-        if track_keys and op.kind == "insert":
-            live_keys.append(op.key)
-        routed += 1
-        tenant_ops[key_index(op.key) % job.tenants] += 1
-        yield op
     counters["routed_ops"] = routed
     counters["tenant_ops"] = list(tenant_ops)
     counters["migrated_in_keys"] = migrated_in
@@ -1342,8 +1241,8 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
     )
     # The coordinator's compiled stream arrives by path and is opened
     # read-only (np.memmap): every worker shares the parent's single
-    # compilation through the page cache.
-    stream: Optional[CompiledStream] = None
+    # compilation through the page cache.  A job without one compiles
+    # the same stream in-process.
     if job.ops_path is not None:
         stream = open_ops(job.ops_path)
         stream.require(
@@ -1356,6 +1255,8 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
             epochs=job.epochs,
             hotspot_rotate_keys=job.hotspot_rotate_keys,
         )
+    else:
+        stream = _compile_stream(job)
     rings = job.rings()
     viyojit: Optional[Viyojit]
     system: NVDRAMSystem
@@ -1375,25 +1276,15 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
     record_indices = np.arange(job.record_count, dtype=np.int64)
     owned = rings[0].shard_for_rows(key_rows(record_indices)) == job.shard
     own_record_keys = key_array(record_indices[owned]).tolist()
-    for key in own_record_keys:
-        runner.store.put(key, value_bytes(key, scale.value_size))
-    loaded = len(own_record_keys)
+    runner.load(own_record_keys)
     counters: Dict[str, object] = {}
     result = runner.run(
         wspec,
-        operations=_shard_operations(
-            job,
-            rings,
-            viyojit,
-            runner.store,
-            scale.value_size,
-            counters,
-            stream=stream,
-        ),
+        batches=_shard_batches(job, rings, viyojit, runner, stream, counters),
     )
     payload = result_payload(result)
     payload["shard"] = job.shard
-    payload["records_loaded"] = loaded
+    payload["records_loaded"] = len(own_record_keys)
     payload["routed_ops"] = counters["routed_ops"]
     payload["tenant_ops"] = counters["tenant_ops"]
     payload["budget_schedule"] = (
@@ -1636,24 +1527,8 @@ def _materialize_grid_stream(grid: ClusterGrid, directory: str) -> str:
     compiles exactly once and both the planner's demand probe and every
     shard worker replay the same memory-mapped arrays.
     """
-    scale = ExperimentScale(
-        record_count=grid.record_count,
-        operation_count=grid.operation_count,
-        zipf_theta=grid.theta,
-        seed=grid.seed,
-    )
-    stream = compile_workload(
-        YCSB_WORKLOADS[grid.workload],
-        grid.record_count,
-        grid.operation_count,
-        value_size=scale.value_size,
-        theta=grid.theta,
-        seed=grid.seed,
-        epochs=grid.epochs,
-        hotspot_rotate_keys=grid.hotspot_rotate_keys,
-    )
     path = os.path.join(directory, "cluster.ops")
-    save_ops(stream, path)
+    save_ops(_compile_stream(grid), path)
     return path
 
 

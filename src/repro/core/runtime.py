@@ -44,10 +44,11 @@ from repro.core.flusher import Flusher, FlushFailure
 from repro.core.history import UpdateHistory
 from repro.core.pressure import PressureEstimator
 from repro.core.stats import ViyojitStats
-from repro.mem.kernel import make_mmu, make_page_table, make_tlb
 from repro.mem.machine import MachineModel
-from repro.mem.mmu import MMU
+from repro.mem.mmu import MMU, HardwareAssistedMMU
 from repro.mem.nvdram import NVDRAMRegion
+from repro.mem.page_table import PageTable
+from repro.mem.tlb import TLB
 from repro.obs.events import BudgetWait, EpochScan, ProactiveFlush, SyncEviction
 from repro.obs.metrics import EpochPoint
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -99,8 +100,8 @@ class NVDRAMSystem:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.tracer.bind_clock(sim.clock)
         self.region = NVDRAMRegion(num_pages, self.machine.page_size)
-        self.page_table = make_page_table(num_pages)
-        self.tlb = make_tlb(num_pages, self.machine.tlb_entries)
+        self.page_table = PageTable(num_pages)
+        self.tlb = TLB(num_pages, self.machine.tlb_entries)
         self.tlb.tracer = self.tracer
         self.mmu = self._build_mmu()
         self.mmu.tracer = self.tracer
@@ -126,7 +127,7 @@ class NVDRAMSystem:
         self._page_version = self.region.page_version
 
     def _build_mmu(self) -> MMU:
-        return make_mmu(self.page_table, self.tlb, self.machine)
+        return MMU(self.page_table, self.tlb, self.machine)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -274,55 +275,63 @@ class NVDRAMSystem:
     def _handle_fault(self, pfn: int) -> None:
         raise NotImplementedError
 
-    def read(self, addr: int, size: int) -> bytes:
-        """Load ``size`` bytes, charging MMU costs for each page touched.
+    def read_at(
+        self, addr: int, size: int
+    ) -> Tuple[Union[bytes, bytearray, None], int]:
+        """Charge a load of ``size`` bytes; return ``(buffer, offset)``.
 
-        TLB-hit fast path: a resident translation charges only the DRAM
-        access, inline; misses take the full MMU path, which inserts the
-        entry and counts the miss exactly once.
+        The zero-copy read every client builds on: ``buffer`` holds the
+        requested bytes at ``offset`` and must not be mutated or kept.
+        A single-page load is the fast path — a resident translation
+        charges only the DRAM access, inline, and ``buffer`` is the
+        backing page itself (``None`` for a never-written page, which
+        reads as zeros).  Empty, out-of-range and page-spanning loads
+        take :meth:`_read_span` and return their bytes as ``(bytes, 0)``.
         """
         if not self._started:
             self._require_started()
+        page_size = self._page_size
+        pfn = addr // page_size
+        offset = addr - pfn * page_size
+        if (
+            size <= 0
+            or addr < 0
+            or offset + size > page_size
+            or addr + size > self._region_bytes
+        ):
+            return self._read_span(addr, size), 0
+        if self._tlb_hit(pfn):
+            self.mmu.read_accesses += 1
+            clock = self._clock
+            now = clock._now + self._dram_cost_ns
+            clock._now = now
+            if now >= self._events.next_due_at:
+                self._drain()
+        else:
+            self._touch_read(pfn)
+        return self._region_pages.get(pfn), offset
+
+    def _read_span(self, addr: int, size: int) -> bytes:
+        """Empty, out-of-range and page-spanning loads, page by page."""
         region = self.region
         if size <= 0 or addr < 0 or addr + size > self._region_bytes:
-            # Rare: keep the legacy path's validation behavior exactly
-            # (empty reads, plus the canonical out-of-range exceptions).
-            for pfn in region.pages_of_range(addr, size):
-                self._touch_read(pfn)
+            region.pages_of_range(addr, size)  # raises unless empty
             return region.read(addr, size)
         page_size = self._page_size
-        first = addr // page_size
-        last = (addr + size - 1) // page_size
-        mmu = self.mmu
-        clock = self._clock
-        events = self._events
-        dram_cost = self._dram_cost_ns
-        if first == last:
-            if self._tlb_hit(first):
-                mmu.read_accesses += 1
-                now = clock._now + dram_cost
-                clock._now = now
-                if now >= events.next_due_at:
-                    self._drain()
-            else:
-                self._touch_read(first)
-            page = self._region_pages.get(first)
-            if page is None:
-                return bytes(size)
-            offset = addr - first * page_size
-            return bytes(memoryview(page)[offset : offset + size])
-        tlb_hit = self._tlb_hit
-        drain = self._drain
-        for pfn in range(first, last + 1):
-            if tlb_hit(pfn):
-                mmu.read_accesses += 1
-                now = clock._now + dram_cost
-                clock._now = now
-                if now >= events.next_due_at:
-                    drain()
-            else:
-                self._touch_read(pfn)
+        end = addr + size
+        cursor = addr
+        while cursor < end:
+            take = min(end - cursor, page_size - cursor % page_size)
+            self.read_at(cursor, take)
+            cursor += take
         return region.read(addr, size)
+
+    def read(self, addr: int, size: int) -> bytes:
+        """Load ``size`` bytes, charging MMU costs for each page touched."""
+        buffer, offset = self.read_at(addr, size)
+        if buffer is None:
+            return bytes(size)
+        return bytes(memoryview(buffer)[offset : offset + size])
 
     def write(self, addr: int, data: bytes) -> None:
         """Store ``data``, faulting (and resolving) per protected page.
@@ -338,240 +347,48 @@ class NVDRAMSystem:
         """
         if not self._started:
             self._require_started()
-        if not data:
-            return
-        region = self.region
+        size = len(data)
         page_size = self._page_size
-        if addr < 0 or addr + len(data) > self._region_bytes:
-            region.page_of(addr if addr < 0 else self._region_bytes)  # raises
-        mmu = self.mmu
-        hit_dirty = self._tlb_hit_dirty
-        clock = self._clock
-        events = self._events
-        drain = self._drain
-        dram_cost = self._dram_cost_ns
         pfn = addr // page_size
         offset = addr - pfn * page_size
-        if offset + len(data) <= page_size:
-            # Common case: the store lands in one page — no cursor walk,
-            # no memoryview slicing.
-            if hit_dirty(pfn):
-                mmu.write_accesses += 1
-                clock._now += dram_cost
-            else:
-                self._touch_write(pfn)
-            pages = self._region_pages
-            page = pages.get(pfn)
-            if page is None:
-                page = pages[pfn] = bytearray(page_size)
-            page[offset : offset + len(data)] = data
-            self._page_version[pfn] += 1
-            if clock._now >= events.next_due_at:
-                drain()
+        if (
+            size == 0
+            or addr < 0
+            or offset + size > page_size
+            or addr + size > self._region_bytes
+        ):
+            self._write_span(addr, data)
             return
+        clock = self._clock
+        if self._tlb_hit_dirty(pfn):
+            self.mmu.write_accesses += 1
+            clock._now += self._dram_cost_ns
+        else:
+            self._touch_write(pfn)
+        pages = self._region_pages
+        page = pages.get(pfn)
+        if page is None:
+            page = pages[pfn] = bytearray(page_size)
+        page[offset : offset + size] = data
+        self._page_version[pfn] += 1
+        if clock._now >= self._events.next_due_at:
+            self._drain()
+
+    def _write_span(self, addr: int, data: bytes) -> None:
+        """Empty, out-of-range and page-spanning stores, page by page."""
+        if not data:
+            return
+        if addr < 0 or addr + len(data) > self._region_bytes:
+            # Out of range: raise the canonical IndexError.
+            self.region.page_of(addr if addr < 0 else self._region_bytes)
+        page_size = self._page_size
         cursor = addr
         view = memoryview(data)
         while view.nbytes > 0:
-            pfn = cursor // page_size
-            offset = cursor - pfn * page_size
-            take = min(view.nbytes, page_size - offset)
-            if hit_dirty(pfn):
-                mmu.write_accesses += 1
-                clock._now += dram_cost
-            else:
-                self._touch_write(pfn)
-            region.write_page_slice(pfn, offset, view[:take])
-            if clock._now >= events.next_due_at:
-                drain()
+            take = min(view.nbytes, page_size - cursor % page_size)
+            self.write(cursor, view[:take])
             cursor += take
             view = view[take:]
-
-
-    # -- batched data path ---------------------------------------------------
-
-    def run_ops(self, writes, addrs, payloads, verify: bool = True) -> None:
-        """Apply a batch of operations with one Python-level dispatch.
-
-        ``writes``/``addrs``/``payloads`` are parallel sequences: for a
-        write, ``payload`` is the bytes to store; for a read, the expected
-        read-back bytes (the durability oracle, compared unless ``verify``
-        is false).  Per element this replays exactly the fast/slow paths
-        of :meth:`read`/:meth:`write` — same TLB probes, same clock
-        charges, same drain points — so batching is wall-clock-only.  The
-        monkeypatch-off equivalence tests in ``tests/perf`` pin that.
-        """
-        if not self._started:
-            self._require_started()
-        region = self.region
-        region_bytes = self._region_bytes
-        page_size = self._page_size
-        mmu = self.mmu
-        hit = self._tlb_hit
-        hit_dirty = self._tlb_hit_dirty
-        clock = self._clock
-        events = self._events
-        drain = self._drain
-        dram_cost = self._dram_cost_ns
-        pages = self._region_pages
-        page_version = self._page_version
-        touch_read = self._touch_read
-        touch_write = self._touch_write
-        slow_read = self.read
-        slow_write = self.write
-        for is_write, addr, payload in zip(writes, addrs, payloads):
-            size = len(payload)
-            pfn = addr // page_size
-            offset = addr - pfn * page_size
-            if size == 0 or addr < 0 or offset + size > page_size:
-                # Empty, out-of-range, or page-spanning: the canonical
-                # per-op path handles validation and the multi-page walk.
-                if is_write:
-                    slow_write(addr, payload)
-                else:
-                    data = slow_read(addr, size)
-                    if verify and data != payload:
-                        raise AssertionError(
-                            f"read-back mismatch at address {addr}"
-                        )
-                continue
-            if is_write:
-                if addr + size > region_bytes:
-                    region.page_of(region_bytes)  # raises, like write()
-                if hit_dirty(pfn):
-                    mmu.write_accesses += 1
-                    clock._now += dram_cost
-                else:
-                    touch_write(pfn)
-                page = pages.get(pfn)
-                if page is None:
-                    page = pages[pfn] = bytearray(page_size)
-                page[offset : offset + size] = payload
-                page_version[pfn] += 1
-                if clock._now >= events.next_due_at:
-                    drain()
-            else:
-                if addr + size > region_bytes:
-                    slow_read(addr, size)  # raises, like read()
-                if hit(pfn):
-                    mmu.read_accesses += 1
-                    now = clock._now + dram_cost
-                    clock._now = now
-                    if now >= events.next_due_at:
-                        drain()
-                else:
-                    touch_read(pfn)
-                page = pages.get(pfn)
-                if verify:
-                    data = (
-                        bytes(size)
-                        if page is None
-                        else page[offset : offset + size]
-                    )
-                    if data != payload:
-                        raise AssertionError(
-                            f"read-back mismatch at address {addr}"
-                        )
-
-    def data_path(self) -> "DataPath":
-        """Fused single-page accessors for batched clients.
-
-        Returns closures that replay :meth:`read`/:meth:`write` exactly —
-        the closure bodies are the same fast paths with the attribute
-        chains resolved once at build time instead of per access.  Any
-        access the fast path cannot take verbatim (page-spanning,
-        out-of-range, empty) falls back to the canonical methods, so
-        the simulation cannot tell the difference.  Built per batch run,
-        after any test monkeypatching, so class-level deoptimizations
-        (``TLB.hit`` and friends) are honoured.
-        """
-        self._require_started()
-        region_bytes = self._region_bytes
-        page_size = self._page_size
-        mmu = self.mmu
-        hit = self._tlb_hit
-        hit_dirty = self._tlb_hit_dirty
-        clock = self._clock
-        events = self._events
-        drain = self._drain
-        dram_cost = self._dram_cost_ns
-        pages = self._region_pages
-        page_version = self._page_version
-        touch_read = self._touch_read
-        touch_write = self._touch_write
-        slow_read = self.read
-        slow_write = self.write
-
-        def write(addr: int, data: bytes) -> None:
-            size = len(data)
-            pfn = addr // page_size
-            offset = addr - pfn * page_size
-            if (
-                size == 0
-                or addr < 0
-                or offset + size > page_size
-                or addr + size > region_bytes
-            ):
-                slow_write(addr, data)
-                return
-            if hit_dirty(pfn):
-                mmu.write_accesses += 1
-                clock._now += dram_cost
-            else:
-                touch_write(pfn)
-            page = pages.get(pfn)
-            if page is None:
-                page = pages[pfn] = bytearray(page_size)
-            page[offset : offset + size] = data
-            page_version[pfn] += 1
-            if clock._now >= events.next_due_at:
-                drain()
-
-        def read_at(addr: int, size: int):
-            """Charge a read; return ``(buffer, offset)`` without copying.
-
-            ``buffer`` is the backing page (``None`` for a never-written
-            page, which reads as zeros) and ``offset`` the position of the
-            requested bytes within it.  Accesses the single-page fast path
-            cannot serve are routed through :meth:`NVDRAMSystem.read` and
-            returned as ``(bytes, 0)``.
-            """
-            pfn = addr // page_size
-            offset = addr - pfn * page_size
-            if (
-                size <= 0
-                or addr < 0
-                or offset + size > page_size
-                or addr + size > region_bytes
-            ):
-                return slow_read(addr, size), 0
-            if hit(pfn):
-                mmu.read_accesses += 1
-                now = clock._now + dram_cost
-                clock._now = now
-                if now >= events.next_due_at:
-                    drain()
-            else:
-                touch_read(pfn)
-            return pages.get(pfn), offset
-
-        def read(addr: int, size: int) -> bytes:
-            buffer, offset = read_at(addr, size)
-            if buffer is None:
-                return bytes(size)
-            return bytes(buffer[offset : offset + size])
-
-        return DataPath(read=read, write=write, read_at=read_at)
-
-
-class DataPath:
-    """Bound fast-path accessors from :meth:`NVDRAMSystem.data_path`."""
-
-    __slots__ = ("read", "write", "read_at")
-
-    def __init__(self, read, write, read_at) -> None:
-        self.read = read
-        self.write = write
-        self.read_at = read_at
 
 
 class FullBatteryNVDRAM(NVDRAMSystem):
@@ -1070,7 +887,7 @@ class HardwareViyojit(Viyojit):
     """
 
     def _build_mmu(self) -> MMU:
-        mmu = make_mmu(self.page_table, self.tlb, self.machine, hardware=True)
+        mmu = HardwareAssistedMMU(self.page_table, self.tlb, self.machine)
         mmu.on_new_dirty = self._on_hardware_new_dirty
         return mmu
 

@@ -6,8 +6,8 @@ hashes with FNV-1a instead.
 
 The vectorized variants below hash many fixed-width inputs in one numpy
 pass.  They are bit-for-bit equivalent to :func:`fnv1a` (uint64 wrapping
-multiplication is exactly the scalar ``& mask``), which the batched
-op-generation tests pin down against the scalar reference.
+multiplication is exactly the scalar ``& mask``), which the tests pin
+down against the scalar reference.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ def fnv1a_rows(rows: np.ndarray) -> np.ndarray:
     """64-bit FNV-1a of every row of a ``(n, width)`` uint8 matrix.
 
     One vectorized multiply-xor per byte column instead of a Python-level
-    loop per input — the batched workload generators hash thousands of
-    keys per call through this.
+    loop per input — the runner's value seeds and the ring's routing
+    hash thousands of keys per call through this.
     """
     if rows.ndim != 2 or rows.dtype != np.uint8:
         raise ValueError(f"expected a 2-D uint8 matrix, got {rows.dtype} "

@@ -6,25 +6,12 @@ regeneration helper.  Everything that could perturb the event stream is
 pinned: the key distribution, the write offsets, the payload bytes, and
 the read schedule are all pure functions of the spec, so two runs with
 the same :class:`TraceWorkload` produce byte-identical trace dumps.
-
-Relation to :mod:`repro.workloads.compiled`: the YCSB pipeline lowers
-its op streams to struct-of-arrays form once and replays array slices
-(including from an ``.ops`` memmap).  The trace stream here shares the
-same batching contract — :func:`iter_op_batches` flattens back to
-:func:`iter_workload_ops` element-for-element at any ``batch_size`` —
-but it cannot be fully pre-compiled: the read-back *oracle* (which
-bytes a read must observe) depends on the running ``written`` state, so
-the read-or-write decision stays a sequential fold over the chunk.
-Only the stateless parts (zipfian page draws, write offsets) are
-vectorized per chunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from typing import Dict, Iterator, Optional, Tuple
-
-import numpy as np
 
 from repro.core.config import ViyojitConfig
 from repro.core.runtime import (
@@ -150,94 +137,6 @@ def iter_workload_ops(
         yield WorkloadOp("write", op, page, offset, payload)
 
 
-@dataclass(frozen=True)
-class WorkloadOpBatch:
-    """A chunk of the trace op stream in structure-of-arrays form.
-
-    Parallel tuples; ``writes[i]`` is True for a write, and ``payloads``
-    carries the write bytes / read oracle exactly as
-    :attr:`WorkloadOp.payload` does.  Flattening every batch of
-    :func:`iter_op_batches` reproduces :func:`iter_workload_ops`
-    element-for-element.
-    """
-
-    writes: Tuple[bool, ...]
-    pages: Tuple[int, ...]
-    offsets: Tuple[int, ...]
-    payloads: Tuple[bytes, ...]
-    start_op: int = 0
-
-    def __len__(self) -> int:
-        return len(self.writes)
-
-    def workload_ops(self) -> Iterator[WorkloadOp]:
-        for index, is_write in enumerate(self.writes):
-            yield WorkloadOp(
-                "write" if is_write else "read",
-                self.start_op + index,
-                self.pages[index],
-                self.offsets[index],
-                self.payloads[index],
-            )
-
-
-def iter_op_batches(
-    spec: TraceWorkload, page_size: int, batch_size: int = 512
-) -> Iterator[WorkloadOpBatch]:
-    """The :func:`iter_workload_ops` stream, materialized in chunks.
-
-    Pages come from the zipfian generator's vectorized ``sample`` (which
-    consumes the RNG stream exactly as repeated ``next`` calls) and the
-    write-offset schedule is one vectorized modulo per chunk; the
-    read-or-write decision still walks the chunk in order because it
-    depends on the running ``written`` state.  Identical ops in identical
-    order for any ``batch_size``.
-    """
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be positive: {batch_size}")
-    zipf = ZipfianGenerator(spec.hot_pages, theta=spec.theta, seed=spec.seed)
-    written: Dict[int, Tuple[int, bytes]] = {}
-    read_every = spec.read_every
-    value_bytes = spec.value_bytes
-    offset_modulus = page_size - value_bytes
-    for start in range(0, spec.ops, batch_size):
-        count = min(batch_size, spec.ops - start)
-        zipf_pages = zipf.sample(count).tolist()
-        write_offsets = (
-            (np.arange(start, start + count, dtype=np.int64) * 131)
-            % offset_modulus
-        ).tolist()
-        writes = []
-        pages = []
-        offsets = []
-        payloads = []
-        for index in range(count):
-            op = start + index
-            page = zipf_pages[index]
-            if written and (op + 1) % read_every == 0:
-                target = page if page in written else next(reversed(written))
-                offset, expect = written[target]
-                writes.append(False)
-                pages.append(target)
-                offsets.append(offset)
-                payloads.append(expect)
-                continue
-            payload = _payload(op, page, value_bytes)
-            offset = write_offsets[index]
-            written[page] = (offset, payload)
-            writes.append(True)
-            pages.append(page)
-            offsets.append(offset)
-            payloads.append(payload)
-        yield WorkloadOpBatch(
-            writes=tuple(writes),
-            pages=tuple(pages),
-            offsets=tuple(offsets),
-            payloads=tuple(payloads),
-            start_op=start,
-        )
-
-
 def apply_op(
     system: NVDRAMSystem, mapping: Mapping, page_size: int, wop: WorkloadOp
 ) -> None:
@@ -261,7 +160,6 @@ def apply_op(
 def run_traced_workload(
     spec: TraceWorkload,
     tracer: Optional[RecordingTracer] = None,
-    batched: bool = False,
 ) -> Dict[str, object]:
     """Replay the spec'd workload and return the full observable dump.
 
@@ -270,11 +168,6 @@ def run_traced_workload(
     histograms, epoch timeline), hardware-substrate counters, and the
     runtime's :class:`~repro.core.stats.ViyojitStats` summary (absent for
     the full-battery baseline, which keeps no such stats).
-
-    ``batched=True`` routes the replay through
-    :meth:`~repro.core.runtime.NVDRAMSystem.run_ops` in
-    :func:`iter_op_batches` chunks; the dump — including the golden-trace
-    event log — is byte-identical to the per-op replay.
     """
     if tracer is None:
         tracer = RecordingTracer()
@@ -283,17 +176,8 @@ def run_traced_workload(
     page_size = system.region.page_size
     mapping = system.mmap(spec.hot_pages * page_size)
 
-    if batched:
-        base_addr = mapping.base_addr
-        for batch in iter_op_batches(spec, page_size):
-            addresses = [
-                base_addr + page * page_size + offset
-                for page, offset in zip(batch.pages, batch.offsets)
-            ]
-            system.run_ops(batch.writes, addresses, batch.payloads)
-    else:
-        for wop in iter_workload_ops(spec, page_size):
-            apply_op(system, mapping, page_size, wop)
+    for wop in iter_workload_ops(spec, page_size):
+        apply_op(system, mapping, page_size, wop)
 
     drain = getattr(system, "drain", None)
     if drain is not None:

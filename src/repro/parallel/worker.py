@@ -2,7 +2,7 @@
 
 :func:`run_sweep_job` is the module-level (picklable) entry point the
 engine submits to its process pool; it rebuilds the full simulation from
-the job's seed and runs it over the batched execution path.  Every
+the job's seed and replays its compiled op stream.  Every
 simulated quantity in the returned payload is a pure function of the
 job, so a retried or re-scheduled job produces the identical payload —
 the foundation of the sweep's cross-``--jobs`` byte-identity.  Wall time
@@ -95,6 +95,7 @@ def run_sweep_job(job: SweepJob, in_worker: bool = False) -> Dict[str, object]:
     # A pre-compiled stream is opened read-only (np.memmap, mode="r"):
     # any number of workers can share the parent's one compilation
     # through the page cache, and nothing in a worker can write to it.
+    # A job without one compiles its stream in-process.
     compiled = open_ops(job.ops_path) if job.ops_path is not None else None
     alarmed = arm_job_timeout(
         job.timeout_s, f"job {job.index} ({job.workload})"
@@ -107,7 +108,6 @@ def run_sweep_job(job: SweepJob, in_worker: bool = False) -> Dict[str, object]:
                 spec,
                 scale,
                 job.budget_fraction,
-                execution="batched",
                 budget_pages=job.budget_pages,
                 compiled=compiled,
             )

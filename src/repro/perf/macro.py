@@ -1,29 +1,21 @@
 """Macro benchmarks: the YCSB-zipfian workload and the sweep engine.
 
 Replays the same YCSB-A (zipfian) run the figure regenerators use,
-against both systems — ``Viyojit`` at the paper's 11%-of-heap budget
-point and the ``FullBatteryNVDRAM`` baseline — through both execution
-paths (per-op and batched), and reports how fast the *simulator*
-executes each.  The ``*_batched`` variants' ``sim`` sections are
-byte-identical to their per-op twins — the report itself re-states the
-batching-is-wall-clock-only invariant.  Two further benches time a small
-budget sweep at ``--jobs 1`` and ``--jobs 2``; their ``sim`` sections
-carry the sweep checksum, which must also agree.
-
-The compiled-stream work adds four more: ``*_compiled`` twins replay a
-pre-compiled struct-of-arrays stream through the batched path (their
-``sim`` must equal the batched variants'), the
-``cluster_stream_generator`` / ``cluster_stream_compiled`` pair times
-the 4-shard cluster's full stream consumption (coordinator probe plus
-every shard's routing pass) under both cost models, and
-``scale_replay`` times a verified ``.ops`` reopen plus a vectorized
-replay of a large stream (ten million ops in full mode).
+against both systems — ``Viyojit`` at a budget of 17.5% of the initial
+heap and the ``FullBatteryNVDRAM`` baseline — from one pre-compiled op
+stream, and reports how fast the *simulator* executes each.  Two
+further benches time a small budget sweep at ``--jobs 1`` and
+``--jobs 2``; their ``sim`` sections carry the sweep checksum, which
+must agree.  ``cluster_stream`` times the 4-shard cluster's full
+stream consumption (compile, coordinator probe and every shard's
+routing pass), and ``scale_replay`` times a verified ``.ops`` reopen
+plus a vectorized replay of a large stream (ten million ops in full
+mode).
 
 The simulated results land in the deterministic ``sim`` section; wall
 seconds are measured separately with the same best-of-N protocol as the
-micro suite, and the headline ratios (batched vs. per-op, compiled
-vs. batched, 2 workers vs. 1, compiled routing vs. generator routing)
-are summarized under ``wall.speedups``.
+micro suite, and the 2-workers-vs-1 ratio is summarized under
+``wall.speedups``.
 """
 
 from __future__ import annotations
@@ -42,7 +34,7 @@ from repro.workloads.compiled import (
     open_ops,
     save_ops,
 )
-from repro.workloads.ycsb import YCSB_A, YCSB_WORKLOADS
+from repro.workloads.ycsb import YCSB_A
 
 if TYPE_CHECKING:  # runtime imports are deferred: repro.parallel and
     from repro.cluster.runner import ClusterSpec  # repro.cluster measure
@@ -80,7 +72,7 @@ def _sim_section(result: RunResult) -> Dict[str, object]:
 
 
 def macro_benches(quick: bool) -> List[MacroBench]:
-    """Both systems x all execution paths, plus the scaling pairs."""
+    """One YCSB-A run per system, plus the scaling benches."""
     scale = ExperimentScale(
         record_count=1_500 if quick else 2_000,
         operation_count=4_000 if quick else 16_000,
@@ -93,21 +85,14 @@ def macro_benches(quick: bool) -> List[MacroBench]:
         theta=scale.zipf_theta,
         seed=scale.seed,
     )
-    benches = []
-    for name, budget, execution, compiled in (
-        ("viyojit", BUDGET_FRACTION, "per-op", None),
-        ("viyojit_batched", BUDGET_FRACTION, "batched", None),
-        ("viyojit_compiled", BUDGET_FRACTION, "batched", stream),
-        ("nvdram", None, "per-op", None),
-        ("nvdram_batched", None, "batched", None),
-        ("nvdram_compiled", None, "batched", stream),
-    ):
-        benches.append(_one_config(name, scale, budget, execution, compiled))
+    benches = [
+        _one_config("viyojit", scale, BUDGET_FRACTION, stream),
+        _one_config("nvdram", scale, None, stream),
+    ]
     grid = _sweep_grid(quick)
     for workers in (1, 2):
         benches.append(_sweep_config(f"sweep_jobs{workers}", grid, workers))
-    for compiled_routing in (False, True):
-        benches.append(_cluster_stream_config(quick, compiled_routing))
+    benches.append(_cluster_stream_config(quick))
     benches.append(_scale_replay_config(quick))
     return benches
 
@@ -116,13 +101,10 @@ def _one_config(
     name: str,
     scale: ExperimentScale,
     budget: Optional[float],
-    execution: str,
-    compiled: Optional[CompiledStream] = None,
+    compiled: CompiledStream,
 ) -> MacroBench:
     def one_pass() -> RunResult:
-        return run_workload(
-            YCSB_A, scale, budget, execution=execution, compiled=compiled
-        )
+        return run_workload(YCSB_A, scale, budget, compiled=compiled)
 
     result = one_pass()
     return MacroBench(
@@ -179,41 +161,23 @@ def _cluster_spec(quick: bool) -> "ClusterSpec":
     )
 
 
-def _cluster_stream_config(quick: bool, compiled: bool) -> MacroBench:
-    """Coordinator probe + per-shard routing, generator vs compiled.
+def _cluster_stream_config(quick: bool) -> MacroBench:
+    """Coordinator probe + per-shard routing over a fresh compile.
 
-    The generator variant re-streams the workload once for the probe
-    and once per shard — the pre-compilation cost model.  The compiled
-    variant's pass *includes* the compilation, so the speedup ratio is
-    honest end-to-end.  Both variants' ``sim`` sections are identical
-    (same demands, same routed counts).
+    The pass *includes* the compilation, so it prices the whole stream
+    consumption of a cluster run.
     """
     from repro.cluster.runner import stream_route_counts
 
     spec = _cluster_spec(quick)
-    scale = spec.scale()
 
     def one_pass() -> Dict[str, object]:
-        if not compiled:
-            return stream_route_counts(spec)
-        stream = compile_workload(
-            YCSB_WORKLOADS[spec.workload],
-            spec.record_count,
-            spec.operation_count,
-            value_size=scale.value_size,
-            theta=spec.theta,
-            seed=spec.seed,
-            epochs=spec.epochs,
-            hotspot_rotate_keys=spec.hotspot_rotate_keys,
-        )
-        return stream_route_counts(spec, stream=stream)
+        return stream_route_counts(spec)
 
     counts = one_pass()
-    # Stream passes per run: one probe + one per shard.
-    units = spec.operation_count * (1 + spec.shards)
     return MacroBench(
-        name=f"cluster_stream_{'compiled' if compiled else 'generator'}",
-        units=units,
+        name="cluster_stream",
+        units=spec.operation_count,
         sim={
             "shards": spec.shards,
             "epochs": spec.epochs,

@@ -101,7 +101,7 @@ _SECTIONS: Tuple[Tuple[str, str], ...] = (
 
 #: Chooser draws per classification block.  Any value yields the same
 #: stream (the draws are consumed in stream order regardless of
-#: chunking — the same invariance ``iter_op_batches`` relies on).
+#: chunking).
 _COMPILE_BLOCK = 8192
 #: Streams at or below this op count memoize their decoded batches.
 _BATCH_CACHE_MAX_OPS = 1_000_000
@@ -274,9 +274,6 @@ class CompiledStream:
     def batches(self, batch_size: int = 2048) -> Iterator[OpBatch]:
         """The stream as :class:`OpBatch` chunks (array-slice reads).
 
-        Chunk boundaries match :func:`iter_op_batches` for the same
-        ``batch_size``, so the batched executors see identical input.
-
         Replays are memoized: a stream is immutable, so once the
         batches for a ``batch_size`` have been decoded they are cached
         on the stream and later replays (repeat benchmark passes, the
@@ -344,7 +341,7 @@ def _compile_indices(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(codes, key_indices, scan_lengths)`` for the un-rotated stream.
 
-    The vectorized path mirrors :func:`iter_op_batches` exactly: the
+    The vectorized path mirrors :func:`generate_operations` exactly: the
     chooser draws are consumed in blocks (stream-order invariant),
     kinds classify with one threshold compare, insert-free runs take
     batch ``sample`` draws, and every insert interleaves its

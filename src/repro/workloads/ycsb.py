@@ -21,10 +21,7 @@ script) replays against a KV store.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, List, Tuple
-
-import numpy as np
+from typing import Iterator, Tuple
 
 from repro.workloads.distributions import (
     CounterGenerator,
@@ -240,10 +237,11 @@ class OpBatch:
 
     ``kinds`` uses the same vocabulary as :attr:`Operation.kind`; ``keys``
     is parallel to it.  ``scan_lengths`` is parallel too and zero for
-    non-scan operations.  Flattening every batch of
-    :func:`iter_op_batches` reproduces :func:`generate_operations`
-    element-for-element — the batched executors rely on that equivalence,
-    and ``tests/workloads`` pins it.
+    non-scan operations (empty when the batch holds no scans).
+    Flattening every batch of
+    :meth:`repro.workloads.compiled.CompiledStream.batches` reproduces
+    :func:`generate_operations` element-for-element — the runner relies
+    on that equivalence, and ``tests/workloads`` pins it.
     """
 
     kinds: Tuple[str, ...]
@@ -264,119 +262,6 @@ class OpBatch:
                 value_size=0 if kind in ("read", "scan") else self.value_size,
                 scan_length=scan_length,
             )
-
-
-_KIND_NAMES = ("read", "update", "insert", "rmw")
-
-
-def iter_op_batches(
-    spec: WorkloadSpec,
-    record_count: int,
-    operation_count: int,
-    value_size: int = 1024,
-    theta: float = ZIPFIAN_CONSTANT,
-    seed: int = 42,
-    batch_size: int = 2048,
-    compiled=None,
-) -> Iterator[OpBatch]:
-    """The :func:`generate_operations` stream, materialized in chunks.
-
-    Identical operations in identical order for any ``batch_size`` — the
-    chooser draws are taken one batch at a time (the scan-free mixes never
-    interleave other chooser calls), kinds are classified with one
-    vectorized threshold compare, and keys come from the generators'
-    ``sample`` batch draws, which consume the underlying RNG streams
-    exactly as repeated ``next`` calls would.  Workloads with scans
-    interleave ``randrange`` calls in the chooser stream, so they fall
-    back to chunking the per-op generator (correct, just not vectorized).
-
-    ``compiled`` is an optional
-    :class:`repro.workloads.compiled.CompiledStream` backing: batches
-    are then array slices instead of fresh generator runs.  The stream
-    must have been compiled from exactly these parameters (checked), so
-    the output is the same stream either way.
-    """
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be positive: {batch_size}")
-    if compiled is not None:
-        compiled.require(
-            spec, record_count, operation_count, value_size, theta, seed
-        )
-        yield from compiled.batches(batch_size)
-        return
-    if spec.scan_proportion > 0:
-        ops = generate_operations(
-            spec, record_count, operation_count, value_size, theta, seed
-        )
-        while True:
-            chunk = list(islice(ops, batch_size))
-            if not chunk:
-                return
-            yield OpBatch(
-                kinds=tuple(op.kind for op in chunk),
-                keys=tuple(op.key for op in chunk),
-                value_size=value_size,
-                scan_lengths=tuple(op.scan_length for op in chunk),
-            )
-    if record_count <= 0:
-        raise ValueError(f"record_count must be positive: {record_count}")
-    if operation_count < 0:
-        raise ValueError(f"operation_count must be non-negative: {operation_count}")
-    if value_size <= 0:
-        raise ValueError(f"value_size must be positive: {value_size}")
-
-    chooser = random.Random(seed)
-    if spec.request_distribution == "zipfian":
-        keygen = ScrambledZipfianGenerator(record_count, theta, seed + 1)
-    elif spec.request_distribution == "latest":
-        keygen = LatestGenerator(record_count, theta, seed + 1)
-    else:
-        keygen = UniformGenerator(record_count, seed + 1)
-    inserter = CounterGenerator(record_count)
-    rand = chooser.random
-    read_bound = spec.read_proportion
-    update_bound = read_bound + spec.update_proportion
-    insert_bound = update_bound + spec.insert_proportion
-
-    remaining = operation_count
-    while remaining > 0:
-        n = min(batch_size, remaining)
-        remaining -= n
-        draws = np.array([rand() for _ in range(n)], dtype=np.float64)
-        codes = np.full(n, 3, dtype=np.int8)  # rmw unless reclassified
-        codes[draws < insert_bound] = 2
-        codes[draws < update_bound] = 1
-        codes[draws < read_bound] = 0
-        code_list = codes.tolist()
-        if 2 not in code_list:
-            indices = keygen.sample(n).tolist()
-            yield OpBatch(
-                kinds=tuple(_KIND_NAMES[code] for code in code_list),
-                keys=tuple(b"user%020d" % index for index in indices),
-                value_size=value_size,
-            )
-            continue
-        # Inserts interleave ``grow_to`` with the key draws: vectorize the
-        # insert-free runs, handle each insert individually in between.
-        kinds: List[str] = []
-        keys: List[bytes] = []
-        position = 0
-        for insert_at in np.flatnonzero(codes == 2).tolist() + [n]:
-            run = insert_at - position
-            if run:
-                indices = keygen.sample(run).tolist()
-                for code, index in zip(code_list[position:insert_at], indices):
-                    kinds.append(_KIND_NAMES[code])
-                    keys.append(b"user%020d" % index)
-            if insert_at < n:
-                new_index = inserter.next()
-                keygen.grow_to(new_index + 1)
-                kinds.append("insert")
-                keys.append(b"user%020d" % new_index)
-            position = insert_at + 1
-        yield OpBatch(
-            kinds=tuple(kinds), keys=tuple(keys), value_size=value_size
-        )
 
 
 def load_operations(

@@ -10,8 +10,9 @@ from repro.bench.runner import (
     build_viyojit,
     run_workload,
     value_bytes,
+    value_seeds_batch,
 )
-from repro.workloads.ycsb import YCSB_A, YCSB_C
+from repro.workloads.ycsb import YCSB_A, YCSB_C, make_key
 
 TINY = ExperimentScale(record_count=300, operation_count=800)
 
@@ -69,6 +70,21 @@ class TestValueBytes:
 
     def test_nonce_changes_value(self):
         assert value_bytes(b"k", 32, 1) != value_bytes(b"k", 32, 2)
+
+    def test_vectorized_seeds_rebuild_value_bytes(self):
+        """The runner's payloads: one seed pass equals value_bytes."""
+        keys = [make_key(index) for index in range(50)]
+        nonces = range(7, 57)
+        for size in (1, 8, 976, 1001):
+            reps = -(-size // 8)
+            payloads = [
+                (seed * reps)[:size]
+                for seed in value_seeds_batch(keys, nonces)
+            ]
+            assert payloads == [
+                value_bytes(key, size, nonce)
+                for key, nonce in zip(keys, nonces)
+            ]
 
 
 class TestBuilders:

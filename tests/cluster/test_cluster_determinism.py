@@ -59,13 +59,13 @@ def test_same_seed_reruns_are_identical(serial_report):
     )
 
 
-def test_compiled_streams_match_generator_byte_for_byte(serial_report):
-    """The pre-compilation execution path produces the same bytes.
+def test_in_process_compile_matches_shared_ops_byte_for_byte(serial_report):
+    """Jobs without a shared ``.ops`` file produce the same bytes.
 
-    ``run_cluster_grid`` now compiles the grid's op stream once and
-    shares it with the planner and every shard worker; replaying the
-    same grid through the original per-op generators (no stream, no
-    ``ops_path``) must merge to an identical report.
+    ``run_cluster_grid`` compiles the grid's op stream once and shares
+    it with the planner and every shard worker; planning and replaying
+    the same grid with each step compiling its own stream in-process
+    (no stream, no ``ops_path``) must merge to an identical report.
     """
     from repro.cluster.report import build_cluster_report
     from repro.cluster.runner import CLUSTER_POOL_ENTRY, run_shard_job

@@ -89,7 +89,7 @@ class TestDurabilityUnderLoad:
 
     def test_crash_anywhere_in_ycsb_run(self):
         from repro.bench.runner import YCSBRunner, build_viyojit
-        from repro.workloads.ycsb import generate_operations
+        from repro.workloads.compiled import compile_workload
 
         sim, system = build_viyojit(SCALE, 2 / 17.5)
         runner = YCSBRunner(sim, system, SCALE)
@@ -99,14 +99,14 @@ class TestDurabilityUnderLoad:
             model, system.config.dirty_budget_pages * system.region.page_size
         )
         crash = CrashSimulator(system, model, battery)
-        ops = generate_operations(
+        stream = compile_workload(
             YCSB_A, SCALE.record_count, 1200, SCALE.value_size, seed=99
         )
-        for index, op in enumerate(ops):
-            runner._execute(op)
-            if index % 200 == 0:
-                report = crash.power_failure()
-                assert report.survives, f"unsurvivable crash at op {index}"
+        # One 200-op batch per run; the crash lands between batches.
+        for index, batch in enumerate(stream.batches(200)):
+            runner.run(YCSB_A, batches=[batch])
+            report = crash.power_failure()
+            assert report.survives, f"unsurvivable crash after batch {index}"
 
     def test_budget_respected_through_run(self, viyojit_a_small):
         stats = viyojit_a_small.viyojit_stats

@@ -1,22 +1,20 @@
-"""Kernel-parametrized fixtures: every mem unit test runs on both kernels.
+"""Fixtures that hand the mem unit tests the classes under test.
 
-The object kernel and the struct-of-arrays kernel implement the same
-contract; the unit tests in this package take the class under test from
-these fixtures so each test body executes twice, once per kernel.  The
-differential harness in ``test_kernel_equivalence.py`` goes further and
-runs both side by side inside a single test.
+The unit tests take the page-table and TLB classes from these fixtures
+rather than importing them, and each runs once per entry of the
+``kernel`` parameter.  The object kernel (``PageTable``/``TLB``) is the
+only memory kernel, so every test runs once, under the ``object`` id.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.mem.page_table import PageTable as ObjectPageTable
-from repro.mem.soa import SoAPageTable, SoATLB
-from repro.mem.tlb import TLB as ObjectTLB
+from repro.mem.page_table import PageTable
+from repro.mem.tlb import TLB
 
-PAGE_TABLE_CLASSES = {"object": ObjectPageTable, "soa": SoAPageTable}
-TLB_CLASSES = {"object": ObjectTLB, "soa": SoATLB}
+PAGE_TABLE_CLASSES = {"object": PageTable}
+TLB_CLASSES = {"object": TLB}
 
 
 @pytest.fixture(params=sorted(PAGE_TABLE_CLASSES))

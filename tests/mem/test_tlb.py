@@ -1,9 +1,8 @@
 """Unit tests for the TLB: hits, eviction, dirty caching, invalidation.
 
-Run against both kernels via the ``tlb_cls`` fixture; the capacity
-boundary is probed extra hard because the SoA kernel's vectorized LRU
-(argmin over touch stamps) must evict exactly the pages the object
-kernel's ordered dict evicts.
+The class under test comes from the ``tlb_cls`` fixture.  The capacity
+boundary is probed extra hard: the ordered-dict LRU must evict exactly
+the least recently touched page, and only past capacity.
 """
 
 import pytest

@@ -22,20 +22,9 @@ class TestSchema:
         report, _ = quick_reports
         assert report["schema_version"] == SCHEMA_VERSION
         assert report["mode"] == "quick"
-        assert report["kernel"] in ("object", "soa")
         assert set(report) == {
-            "schema_version", "mode", "kernel", "micro", "macro", "wall"
+            "schema_version", "mode", "micro", "macro", "wall"
         }
-
-    def test_kernel_field_reflects_env(self, monkeypatch):
-        from repro.perf.report import build_report
-        from repro.mem.kernel import kernel_name
-
-        monkeypatch.setenv("REPRO_KERNEL", "soa")
-        report = build_report("quick", [], [], 1, 0.0, kernel=kernel_name())
-        assert report["kernel"] == "soa"
-        # The kernel is part of the deterministic view, not the wall data.
-        assert '"kernel": "soa"' in deterministic_view(report)
 
     def test_expected_benchmarks_present(self, quick_reports):
         report, _ = quick_reports
@@ -50,43 +39,19 @@ class TestSchema:
         }
         assert set(report["macro"]) == {
             "viyojit",
-            "viyojit_batched",
-            "viyojit_compiled",
             "nvdram",
-            "nvdram_batched",
-            "nvdram_compiled",
             "sweep_jobs1",
             "sweep_jobs2",
-            "cluster_stream_generator",
-            "cluster_stream_compiled",
+            "cluster_stream",
             "scale_replay",
         }
 
-    def test_batched_macro_sims_equal_per_op(self, quick_reports):
+    def test_cluster_stream_routes_every_op(self, quick_reports):
         report, _ = quick_reports
-        assert report["macro"]["viyojit_batched"] == report["macro"]["viyojit"]
-        assert report["macro"]["nvdram_batched"] == report["macro"]["nvdram"]
-
-    def test_compiled_macro_sims_equal_batched(self, quick_reports):
-        """Compiled replay is simulation-invisible in the report itself."""
-        report, _ = quick_reports
-        assert (
-            report["macro"]["viyojit_compiled"]
-            == report["macro"]["viyojit_batched"]
-        )
-        assert (
-            report["macro"]["nvdram_compiled"]
-            == report["macro"]["nvdram_batched"]
-        )
-
-    def test_cluster_stream_pair_sims_equal(self, quick_reports):
-        """Vectorized routing returns the generator pass's exact counts."""
-        report, _ = quick_reports
-        generator = report["macro"]["cluster_stream_generator"]
-        compiled = report["macro"]["cluster_stream_compiled"]
-        assert generator == compiled
-        assert generator["shards"] == 4
-        assert sum(generator["routed_ops"]) > 0
+        stream = report["macro"]["cluster_stream"]
+        assert stream["shards"] == 4
+        # Quick mode's cluster runs 2,400 ops; each goes to one shard.
+        assert sum(stream["routed_ops"]) == 2_400
 
     def test_scale_replay_recorded(self, quick_reports):
         report, _ = quick_reports
@@ -106,14 +71,7 @@ class TestSchema:
     def test_speedup_ratios_recorded(self, quick_reports):
         report, _ = quick_reports
         speedups = report["wall"]["speedups"]
-        assert set(speedups) == {
-            "ycsb_a_batched_vs_per_op",
-            "ycsb_a_nvdram_batched_vs_per_op",
-            "ycsb_a_compiled_vs_batched",
-            "ycsb_a_nvdram_compiled_vs_batched",
-            "sweep_jobs2_vs_jobs1",
-            "cluster_stream_compiled_vs_generator",
-        }
+        assert set(speedups) == {"sweep_jobs2_vs_jobs1"}
         for ratio in speedups.values():
             assert ratio > 0
 
@@ -154,7 +112,6 @@ class TestRegressionGate:
         return {
             "schema_version": schema,
             "mode": "quick",
-            "kernel": "object",
             "micro": {},
             "macro": {},
             "wall": {

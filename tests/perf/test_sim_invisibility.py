@@ -1,6 +1,6 @@
-"""The tentpole's core contract: fast paths change wall time ONLY.
+"""The core contract of the data path: fast paths change wall time ONLY.
 
-Every hot-path optimization in this PR — the TLB hit/hit-dirty probes,
+Every hot-path optimization — the TLB hit/hit-dirty probes,
 the event-queue next-due lower bound, and the vectorized (order-
 insensitive) victim-candidate materialization — must be invisible to the
 simulation: same simulated clocks, same stats, same flush traffic, for
@@ -33,16 +33,12 @@ def _snapshot(result) -> dict:
 
 def _disable_fast_paths(monkeypatch) -> None:
     from repro.core import policies
-    from repro.mem.soa import SoATLB
     from repro.mem.tlb import TLB
     from repro.sim.events import EventQueue
 
     # TLB probes always miss: every access takes the canonical MMU path.
-    # Both kernels' TLBs are patched so the chain deoptimizes whichever
-    # one REPRO_KERNEL selected.
-    for tlb_cls in (TLB, SoATLB):
-        monkeypatch.setattr(tlb_cls, "hit", lambda self, pfn: False)
-        monkeypatch.setattr(tlb_cls, "hit_dirty", lambda self, pfn: False)
+    monkeypatch.setattr(TLB, "hit", lambda self, pfn: False)
+    monkeypatch.setattr(TLB, "hit_dirty", lambda self, pfn: False)
     # The next-due bound always demands a drain attempt.
     # ``next_due_at`` is normally a plain instance attribute; installing
     # a class-level data descriptor overrides it for every queue.
@@ -71,24 +67,18 @@ def test_fast_paths_are_simulation_invisible(monkeypatch, budget_fraction):
     assert optimized == deoptimized
 
 
-@pytest.mark.parametrize("kernel", ["object", "soa"])
 @pytest.mark.parametrize("budget_fraction", [0.175, None],
                          ids=["viyojit", "nvdram"])
-def test_compiled_replay_is_simulation_invisible(
-    monkeypatch, budget_fraction, kernel
-):
-    """A compiled stream through the full deopt chain changes nothing.
+def test_compiled_replay_is_simulation_invisible(monkeypatch, budget_fraction):
+    """A pre-compiled stream through the full deopt chain changes nothing.
 
-    The strongest form of the invariant: per-op generator execution on
-    the optimized simulator must match compiled-stream batched execution
-    with every fast path switched off, under either memory kernel.
+    The strongest form of the invariant: the optimized simulator
+    compiling its stream in-process must match a stream compiled
+    beforehand and replayed with every fast path switched off.
     """
     from repro.workloads.compiled import compile_workload
 
-    monkeypatch.setenv("REPRO_KERNEL", kernel)
-    reference = _snapshot(
-        run_workload(YCSB_A, SCALE, budget_fraction, execution="per-op")
-    )
+    reference = _snapshot(run_workload(YCSB_A, SCALE, budget_fraction))
     stream = compile_workload(
         YCSB_A,
         SCALE.record_count,
@@ -99,12 +89,6 @@ def test_compiled_replay_is_simulation_invisible(
     )
     _disable_fast_paths(monkeypatch)
     compiled = _snapshot(
-        run_workload(
-            YCSB_A,
-            SCALE,
-            budget_fraction,
-            execution="batched",
-            compiled=stream,
-        )
+        run_workload(YCSB_A, SCALE, budget_fraction, compiled=stream)
     )
     assert compiled == reference

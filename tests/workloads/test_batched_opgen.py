@@ -1,11 +1,12 @@
 """Batched op generation reproduces the per-op generators exactly.
 
-``iter_op_batches`` must yield the very same operation stream as
-``generate_operations`` — same kinds, same keys, same scan lengths, in
-the same order — for every workload and any batch size, because the
-sweep engine's determinism rests on the generators being pure functions
-of (spec, scale, seed).  The vectorized FNV and distribution ``sample``
-paths are pinned against their scalar twins the same way.
+A compiled stream's ``batches`` must yield the very same operation
+stream as ``generate_operations`` — same kinds, same keys, same scan
+lengths, in the same order — for every workload and any batch size,
+because the runner replays those batches and the sweep engine's
+determinism rests on the generators being pure functions of (spec,
+scale, seed).  The vectorized FNV and distribution ``sample`` paths are
+pinned against their scalar twins the same way.
 """
 
 from __future__ import annotations
@@ -19,11 +20,8 @@ from repro.workloads.distributions import (
     ScrambledZipfianGenerator,
     ZipfianGenerator,
 )
-from repro.workloads.ycsb import (
-    YCSB_WORKLOADS,
-    generate_operations,
-    iter_op_batches,
-)
+from repro.workloads.compiled import compile_workload
+from repro.workloads.ycsb import YCSB_WORKLOADS, generate_operations
 
 OPS = 2_000
 RECORDS = 500
@@ -32,9 +30,8 @@ SEED = 9
 
 def _flatten(spec, batch_size):
     ops = []
-    for batch in iter_op_batches(
-        spec, RECORDS, OPS, value_size=200, seed=SEED, batch_size=batch_size
-    ):
+    stream = compile_workload(spec, RECORDS, OPS, value_size=200, seed=SEED)
+    for batch in stream.batches(batch_size):
         assert len(batch) > 0
         ops.extend(batch.operations())
     return ops
@@ -53,7 +50,7 @@ def test_batches_flatten_to_per_op_stream(name, batch_size):
 def test_batch_size_must_be_positive():
     spec = YCSB_WORKLOADS["YCSB-A"]
     with pytest.raises(ValueError, match="batch_size"):
-        next(iter_op_batches(spec, RECORDS, OPS, batch_size=0))
+        next(compile_workload(spec, RECORDS, OPS).batches(0))
 
 
 def test_fnv1a_rows_matches_scalar():

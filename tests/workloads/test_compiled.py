@@ -36,7 +36,6 @@ from repro.workloads.compiled import (
 from repro.workloads.ycsb import (
     YCSB_WORKLOADS,
     generate_operations,
-    iter_op_batches,
     make_key,
 )
 
@@ -82,20 +81,15 @@ def test_compiled_equals_generate_operations(
     batch_size=st.integers(min_value=1, max_value=900),
 )
 @settings(max_examples=40, deadline=None)
-def test_compiled_batches_equal_iter_op_batches(workload, batch_size):
+def test_compiled_batches_flatten_to_generate_operations(workload, batch_size):
     spec = YCSB_WORKLOADS[workload]
     params = _params()
     stream = compile_workload(spec, **params)
-    plain = list(iter_op_batches(spec, batch_size=batch_size, **params))
-    backed = list(
-        iter_op_batches(
-            spec, batch_size=batch_size, compiled=stream, **params
-        )
-    )
-    assert backed == plain
+    batches = list(stream.batches(batch_size))
+    assert all(0 < len(batch) <= batch_size for batch in batches)
     # Flattening reproduces the per-op stream at ANY batch size.
-    flattened = [op for batch in backed for op in batch.operations()]
-    assert flattened == list(stream.operations())
+    flattened = [op for batch in batches for op in batch.operations()]
+    assert flattened == list(generate_operations(spec, **params))
 
 
 @given(

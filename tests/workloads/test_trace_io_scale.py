@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.workloads.compiled import compile_workload
 from repro.workloads.distributions import ZipfianGenerator
 from repro.workloads.trace_io import (
     load_trace_csv,
@@ -19,7 +20,7 @@ from repro.workloads.trace_io import (
     save_trace_npz,
 )
 from repro.workloads.traces import VolumeSpec, generate_volume_trace
-from repro.workloads.ycsb import YCSB_WORKLOADS, iter_op_batches
+from repro.workloads.ycsb import YCSB_WORKLOADS
 
 
 @pytest.fixture(scope="module")
@@ -71,14 +72,14 @@ def test_zipfian_stream_is_shard_layout_invariant():
 
 @pytest.mark.parametrize("batch_size", [512, 4_096])
 def test_ycsb_ops_identical_across_shard_layouts(batch_size):
-    """Every shard layout of the YCSB-A generator yields the same ops."""
-    spec = YCSB_WORKLOADS["YCSB-A"]
+    """Every batch layout of the compiled YCSB-A stream yields the same ops."""
+    compiled = compile_workload(
+        YCSB_WORKLOADS["YCSB-A"], 2_000, 20_000, seed=13
+    )
 
     def stream(size):
         ops = []
-        for batch in iter_op_batches(
-            spec, 2_000, 20_000, seed=13, batch_size=size
-        ):
+        for batch in compiled.batches(size):
             ops.extend(batch.operations())
         return ops
 
