@@ -463,20 +463,39 @@ def run_workload_repeated(
     return RepeatedResult(runs=results)
 
 
+def require_stream(
+    stream: CompiledStream,
+    spec: WorkloadSpec,
+    scale: ExperimentScale,
+    epochs: Optional[int],
+    hotspot_rotate_keys: Optional[int],
+) -> None:
+    """Reject a compiled stream that ``spec`` at ``scale`` would not compile.
+
+    ``epochs`` / ``hotspot_rotate_keys`` are ``None`` for a plain
+    (unsegmented, unrotated) stream; see :meth:`CompiledStream.require`.
+    """
+    stream.require(
+        spec,
+        scale.record_count,
+        scale.operation_count,
+        scale.value_size,
+        scale.zipf_theta,
+        scale.seed,
+        epochs=epochs,
+        hotspot_rotate_keys=hotspot_rotate_keys,
+    )
+
+
 def run_workload(
     spec: WorkloadSpec,
     scale: ExperimentScale,
     budget_fraction: Optional[float],
     flush_tlb_on_scan: bool = True,
     proactive: bool = True,
-    budget_pages: Optional[int] = None,
     compiled: Optional[CompiledStream] = None,
 ) -> RunResult:
     """Convenience: build, load, run.  ``budget_fraction=None`` = baseline.
-
-    An explicit ``budget_pages`` (cluster lease) overrides the
-    fraction-derived budget; it is an error without a non-``None``
-    ``budget_fraction``, because the baseline has no budget to override.
 
     ``compiled`` replays a pre-compiled op stream
     (:class:`repro.workloads.compiled.CompiledStream`) instead of
@@ -484,18 +503,8 @@ def run_workload(
     (checked), so simulated results cannot change.
     """
     if compiled is not None:
-        compiled.require(
-            spec,
-            scale.record_count,
-            scale.operation_count,
-            scale.value_size,
-            scale.zipf_theta,
-            scale.seed,
-        )
-    if budget_pages is not None and budget_fraction is None:
-        raise ValueError(
-            "budget_pages overrides a Viyojit budget; the full-battery "
-            "baseline (budget_fraction=None) has none"
+        require_stream(
+            compiled, spec, scale, epochs=None, hotspot_rotate_keys=None
         )
     if budget_fraction is None:
         sim, system = build_baseline(scale)
@@ -505,7 +514,6 @@ def run_workload(
             budget_fraction,
             flush_tlb_on_scan=flush_tlb_on_scan,
             proactive=proactive,
-            budget_pages=budget_pages,
         )
     runner = YCSBRunner(sim, system, scale, ordered=spec.scan_proportion > 0)
     runner.load()

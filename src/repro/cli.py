@@ -37,12 +37,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.bench import experiments
 from repro.bench.reporting import format_table
 from repro.bench.runner import ExperimentScale, PAPER_HEAP_GB
 from repro.workloads.ycsb import YCSB_WORKLOADS
+
+if TYPE_CHECKING:
+    from repro.cluster import ClusterGrid
 
 
 def _parse_workloads(spec: str):
@@ -429,25 +432,27 @@ BENCH_BASELINE_PATH = "benchmarks/BENCH_baseline.json"
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.parallel import SweepError, SweepGrid, dumps, run_sweep
 
-    if args.grid:
-        grid = SweepGrid.from_file(args.grid)
-    else:
-        workloads = tuple(
-            spec.name for spec in _parse_workloads(args.workloads)
-        )
-        fractions: list = [] if args.no_baseline else [None]
-        for token in args.budgets_gb.split(","):
-            fractions.append(float(token) / PAPER_HEAP_GB)
-        grid = SweepGrid(
-            workloads=workloads,
-            budget_fractions=tuple(fractions),
-            thetas=tuple(
-                float(token) for token in args.thetas.split(",")
-            ),
-            seeds=tuple(int(token) for token in args.seeds.split(",")),
-            record_count=args.records,
-            operation_count=args.ops,
-        )
+    try:
+        if args.grid:
+            grid = SweepGrid.from_file(args.grid)
+        else:
+            fractions: list = [] if args.no_baseline else [None]
+            for token in args.budgets_gb.split(","):
+                fractions.append(float(token) / PAPER_HEAP_GB)
+            grid = SweepGrid(
+                workloads=tuple(
+                    spec.name for spec in _parse_workloads(args.workloads)
+                ),
+                budget_fractions=tuple(fractions),
+                thetas=tuple(
+                    float(token) for token in args.thetas.split(",")
+                ),
+                seeds=tuple(int(token) for token in args.seeds.split(",")),
+                record_count=args.records,
+                operation_count=args.ops,
+            )
+    except ValueError as exc:
+        return _invalid_grid(exc)
     try:
         report = run_sweep(
             grid,
@@ -498,10 +503,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster import ClusterGrid, run_cluster_grid
-    from repro.cluster.report import dumps
-    from repro.parallel import SweepError
+def _invalid_grid(exc: ValueError) -> int:
+    """Report a grid the sweep/cluster commands cannot build (exit 2)."""
+    print(f"invalid grid: {exc}", file=sys.stderr)
+    return 2
+
+
+def _cluster_grid(args: argparse.Namespace) -> ClusterGrid:
+    """The ``repro cluster`` flags as a grid (``ValueError`` if invalid)."""
+    from repro.cluster import ClusterGrid
 
     if args.shards is not None:
         shard_counts = (args.shards,)
@@ -528,21 +538,17 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             epoch_text, _, fraction_text = token.partition(":")
             steps.append((int(epoch_text), float(fraction_text)))
         degrade = tuple(steps)
-    membership: tuple = ()
+    changes: list = []
     if args.membership:
-        changes = []
         for token in args.membership.split(","):
             parts = token.split(":")
             if len(parts) != 3:
-                print(
+                raise ValueError(
                     f"bad membership entry {token!r}: expected "
-                    f"EPOCH:add|remove:SHARD",
-                    file=sys.stderr,
+                    f"EPOCH:add|remove:SHARD"
                 )
-                return 2
             changes.append((int(parts[0]), parts[1], int(parts[2])))
-        membership = tuple(changes)
-    grid = ClusterGrid(
+    return ClusterGrid(
         shard_counts=shard_counts,
         total_budgets_gb=tuple(budgets),
         workload=workload,
@@ -559,9 +565,20 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         predictor=args.predictor,
         ewma_alpha=args.ewma_alpha,
         churn_cap_pages=args.churn_cap,
-        membership=membership,
+        membership=tuple(changes),
         hotspot_rotate_keys=args.hotspot_rotate,
     )
+
+
+def cmd_cluster(args: argparse.Namespace) -> int:
+    from repro.cluster import run_cluster_grid
+    from repro.cluster.report import dumps
+    from repro.parallel import SweepError
+
+    try:
+        grid = _cluster_grid(args)
+    except ValueError as exc:
+        return _invalid_grid(exc)
     try:
         report = run_cluster_grid(
             grid,

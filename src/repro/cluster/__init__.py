@@ -8,6 +8,10 @@ shards, and every shard's dirty budget is a lease from one shared
 epochs as write pressure shifts.  Execution rides the deterministic
 :mod:`repro.parallel` engine, so the merged ``CLUSTER.json`` is
 byte-identical at any ``--jobs`` count.
+
+:class:`ClusterSpec` is the one declaration of a run's parameters:
+grids and shard jobs derive from it, and the coordinator
+(:mod:`repro.cluster.runner`) records each planner event once.
 """
 
 from repro.cluster.forecast import (
@@ -27,7 +31,6 @@ from repro.cluster.rebalancer import (
     apportion,
     damp_grants,
     lease_churn,
-    moved_pages,
     plan_epoch,
 )
 from repro.cluster.report import (
@@ -46,7 +49,6 @@ from repro.cluster.runner import (
     membership_rings,
     plan_cluster,
     pool_run_shard_job,
-    probe_demands,
     run_cluster_grid,
     run_shard_job,
     shard_jobs,
@@ -82,11 +84,9 @@ __all__ = [
     "membership_rings",
     "misallocation_report",
     "misallocation_series",
-    "moved_pages",
     "plan_cluster",
     "plan_epoch",
     "pool_run_shard_job",
-    "probe_demands",
     "run_cluster_grid",
     "run_shard_job",
     "shard_jobs",

@@ -26,7 +26,6 @@ from repro.cluster.rebalancer import (
     apportion,
     damp_grants,
     lease_churn,
-    moved_pages,
     plan_epoch,
 )
 from repro.power.battery import Battery
@@ -48,6 +47,17 @@ def _demand_signal(value: float) -> float:
     if isinstance(value, int):
         return value
     return round(value, 3)
+
+
+def check_tenant_quotas(quotas: Sequence[float]) -> None:
+    """Reject tenant quotas that are not positive shares summing to 1."""
+    if not quotas:
+        raise PoolError("tenant_quotas must not be empty")
+    for quota in quotas:
+        if quota <= 0:
+            raise PoolError(f"tenant quotas must be positive: {quota}")
+    if abs(sum(quotas) - 1.0) > 1e-9:
+        raise PoolError(f"tenant quotas must sum to 1, got {sum(quotas)}")
 
 
 @dataclass(frozen=True)
@@ -100,15 +110,7 @@ class BatteryPool:
             if tenant_quotas is not None
             else (1.0,)
         )
-        if not quotas:
-            raise PoolError("tenant_quotas must not be empty")
-        for quota in quotas:
-            if quota <= 0:
-                raise PoolError(f"tenant quotas must be positive: {quota}")
-        if abs(sum(quotas) - 1.0) > 1e-9:
-            raise PoolError(
-                f"tenant quotas must sum to 1, got {sum(quotas)}"
-            )
+        check_tenant_quotas(quotas)
         if churn_cap_pages is not None and churn_cap_pages < 0:
             raise PoolError(
                 f"churn_cap_pages must be non-negative: {churn_cap_pages}"
@@ -258,21 +260,12 @@ class BatteryPool:
         """Total pages leased out in ``epoch``."""
         return sum(lease.pages for lease in self.lease_history[epoch])
 
-    def moved_pages(self, epoch: int) -> int:
-        """Pages that changed shards entering ``epoch`` (0 for the first)."""
-        if epoch == 0:
-            return 0
-        return moved_pages(
-            [lease.pages for lease in self.lease_history[epoch - 1]],
-            [lease.pages for lease in self.lease_history[epoch]],
-        )
-
     def churn(self, epoch: int) -> LeaseChurn:
         """Grown/shed/moved accounting entering ``epoch``.
 
         Across a degradation epoch ``shed`` exceeds ``grown`` by the
         capacity lost — the full drain work shrinking shards perform —
-        which the one-number :meth:`moved_pages` view undercounts.
+        which the one-number ``grown`` view undercounts.
         """
         if epoch == 0:
             return LeaseChurn(grown=0, shed=0)

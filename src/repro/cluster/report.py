@@ -1,12 +1,13 @@
 """Merged cluster report (``CLUSTER.json``).
 
 Same determinism contract as ``SWEEP.json``
-(:mod:`repro.parallel.report`, whose canonicalisation, checksum, and
-``deterministic_view`` helpers this module reuses): results merge by
-global job index, wall-clock data is quarantined under the top-level
-``wall`` key, and the embedded sha256 covers exactly the deterministic
-view — so two cluster runs agree iff their checksums agree, regardless
-of ``--jobs`` count, completion order, or retry history.
+(:mod:`repro.parallel.report`, whose canonicalisation, checksum,
+``deterministic_view`` and ``seal`` helpers this module reuses):
+results merge by global job index, wall-clock data is quarantined
+under the top-level ``wall`` key, and the embedded sha256 covers
+exactly the deterministic view — so two cluster runs agree iff their
+checksums agree, regardless of ``--jobs`` count, completion order, or
+retry history.
 
 On top of the per-shard payloads the report adds the coordinator's
 plan: ring checksums, the demand matrices, every epoch's leases and
@@ -24,8 +25,7 @@ from typing import Dict, List, Sequence, TYPE_CHECKING
 
 from repro.bench.reporting import overhead_percent
 from repro.cluster.rebalancer import lease_churn
-from repro.parallel.report import checksum, deterministic_view, dumps
-from repro.perf.timer import timestamp
+from repro.parallel.report import checksum, deterministic_view, dumps, seal
 
 if TYPE_CHECKING:
     from repro.cluster.runner import ClusterGrid, ClusterPlan
@@ -71,37 +71,25 @@ def _run_summary(
         ),
     }
     if plan.schedules is not None:
-        shard_ids = range(len(plan.leases[0])) if plan.leases else range(0)
+        churns = [
+            lease_churn(
+                [lease.pages for lease in plan.leases[epoch - 1]],
+                [lease.pages for lease in plan.leases[epoch]],
+            )
+            for epoch in range(1, len(plan.leases))
+        ]
         pool: Dict[str, object] = {
             "capacity_schedule": list(plan.capacity_schedule),
             "leased_per_epoch": [
                 sum(lease.pages for lease in epoch_leases)
                 for epoch_leases in plan.leases
             ],
-            "moved_per_epoch": [0]
-            + [
-                sum(
-                    max(
-                        0,
-                        plan.leases[epoch][shard].pages
-                        - plan.leases[epoch - 1][shard].pages,
-                    )
-                    for shard in shard_ids
-                )
-                for epoch in range(1, len(plan.leases))
-            ],
+            "moved_per_epoch": [0] + [c.grown for c in churns],
         }
         if not plan.spec.is_legacy():
             # The moved_per_epoch view above counts only the grown side,
             # which undercounts drain work whenever degradation shrinks
             # the pool between epochs.  Modern runs report both sides.
-            churns = [
-                lease_churn(
-                    [lease.pages for lease in plan.leases[epoch - 1]],
-                    [lease.pages for lease in plan.leases[epoch]],
-                )
-                for epoch in range(1, len(plan.leases))
-            ]
             pool["churn"] = {
                 "grown_per_epoch": [0] + [c.grown for c in churns],
                 "shed_per_epoch": [0] + [c.shed for c in churns],
@@ -175,7 +163,6 @@ def build_cluster_report(
     if missing:
         raise ValueError(f"results missing job indices: {sorted(missing)}")
     runs = []
-    job_wall_s: Dict[str, float] = {}
     index = 0
     for plan in plans:
         shards = []
@@ -184,7 +171,6 @@ def build_cluster_report(
             shards.append(
                 {"job": payload["job"], "result": payload["result"]}
             )
-            job_wall_s[str(index)] = round(payload["wall_s"], 6)
             index += 1
         run: Dict[str, object] = {
             "spec": plan.spec.as_dict(),
@@ -207,12 +193,10 @@ def build_cluster_report(
         "runs": runs,
         "tables": {"throughput_vs_total_battery": _battery_rows(runs)},
     }
-    report["checksum_sha256"] = checksum(report)
-    report["wall"] = {
-        "workers": workers,
-        "retries": retries,
-        "total_wall_s": round(total_wall_s, 6),
-        "job_wall_s": job_wall_s,
-        "generated_at_unix": round(timestamp(), 3),
-    }
-    return report
+    return seal(
+        report,
+        results,
+        workers=workers,
+        total_wall_s=total_wall_s,
+        retries=retries,
+    )

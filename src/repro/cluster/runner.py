@@ -7,6 +7,10 @@ SSD), and all dirty budgets are leased from one shared
 :class:`~repro.cluster.pool.BatteryPool` that re-apportions capacity at
 rebalance-epoch boundaries as write pressure shifts.
 
+Every run parameter is declared once, as a :class:`ClusterSpec` field:
+a :class:`ClusterGrid` holds one spec and varies only shard count and
+pool battery, and each :class:`ShardJob` carries its run's spec.
+
 Determinism protocol (everything is a pure function of the spec):
 
 1. **Demand probe** — the coordinator streams the global op stream once
@@ -20,13 +24,14 @@ Determinism protocol (everything is a pure function of the spec):
    during epoch ``e-1``.  Pool degradation steps apply at their
    scheduled epochs, an optional churn cap damps voluntary lease
    movement, and ring-membership changes hand budget and keys between
-   shards.  The coordinator emits
-   :class:`~repro.obs.events.ShardRebalance` /
-   :class:`~repro.obs.events.BudgetLease` events, plus
-   :class:`~repro.obs.events.ShardMigration` /
-   :class:`~repro.obs.events.BudgetHandoff` /
-   :class:`~repro.obs.events.DemandStarved` when those conditions
-   arise.
+   shards.  One epoch loop serves baseline and pooled runs alike, and
+   every transition it makes — :class:`~repro.obs.events.ShardMigration`,
+   :class:`~repro.obs.events.DemandStarved`,
+   :class:`~repro.obs.events.ShardRebalance`,
+   :class:`~repro.obs.events.BudgetLease`,
+   :class:`~repro.obs.events.BudgetHandoff` — is recorded at exactly
+   one site (:func:`_record`), which builds both the report dict and,
+   under a live tracer, the typed event.
 3. **Shard execution** — one hermetic :class:`ShardJob` per shard rides
    :func:`repro.parallel.engine.execute_jobs` (one shard per worker
    process, any ``--jobs`` count, order-blind merge).  Each worker
@@ -48,6 +53,7 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import (
+    Any,
     Dict,
     Iterator,
     List,
@@ -55,7 +61,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
+    Type,
 )
 
 import numpy as np
@@ -67,6 +73,7 @@ from repro.bench.runner import (
     YCSBRunner,
     build_baseline,
     build_viyojit,
+    require_stream,
 )
 from repro.cluster.forecast import (
     DEFAULT_EWMA_ALPHA,
@@ -74,7 +81,7 @@ from repro.cluster.forecast import (
     make_predictor,
     misallocation_report,
 )
-from repro.cluster.pool import BatteryPool, PoolLease
+from repro.cluster.pool import BatteryPool, PoolLease, check_tenant_quotas
 from repro.cluster.ring import HashRing
 from repro.core.runtime import NVDRAMSystem, Viyojit
 from repro.obs.events import (
@@ -83,16 +90,11 @@ from repro.obs.events import (
     DemandStarved,
     ShardMigration,
     ShardRebalance,
+    TraceEvent,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.parallel.engine import Progress, execute_jobs
-from repro.parallel.worker import (
-    arm_job_timeout,
-    disarm_job_timeout,
-    maybe_kill_once,
-    result_payload,
-)
-from repro.perf.timer import best_of
+from repro.parallel.worker import result_payload, run_hermetic
 from repro.workloads.compiled import (
     CODE_INSERT,
     CODE_RMW,
@@ -124,6 +126,36 @@ DEFAULT_TOTAL_BUDGETS_GB = (2.0, 6.0, 10.0)
 MEMBERSHIP_ACTIONS = ("add", "remove")
 
 Membership = Tuple[Tuple[int, str, int], ...]
+
+#: Planning knobs a report omits while they hold their default, so a
+#: spec that uses none of them serializes byte-identically to the
+#: pre-forecasting planner.
+_OMITTED_AT_DEFAULT = (
+    "predictor",
+    "ewma_alpha",
+    "churn_cap_pages",
+    "membership",
+    "hotspot_rotate_keys",
+)
+
+#: The run parameters the demand probe and a shard worker depend on —
+#: the op stream, its segmentation, the tenants and the ring schedule,
+#: never a budget knob.  They key the probe cache and make up a shard
+#: job's report identity.
+_ROUTING_PARAMS = (
+    "workload",
+    "theta",
+    "seed",
+    "record_count",
+    "operation_count",
+    "epochs",
+    "tenants",
+    "hotspot_rotate_keys",
+    "shards",
+    "vnodes",
+    "ring_seed",
+    "membership",
+)
 
 
 def _normalize_membership(
@@ -207,6 +239,16 @@ def membership_rings(
     return rings
 
 
+def _active_masks(
+    rings: Sequence[HashRing], total_shards: int
+) -> List[Tuple[bool, ...]]:
+    """Per epoch, which shard ids are on that epoch's ring."""
+    return [
+        tuple(shard in ring.shard_ids for shard in range(total_shards))
+        for ring in rings
+    ]
+
+
 def iter_segment_ops(
     workload: str,
     record_count: int,
@@ -262,6 +304,8 @@ class ClusterSpec:
     ``(epoch, fraction)`` health losses applied to the shared pool
     before that epoch's rebalance — at most one step per epoch (compose
     fractions into one step instead of repeating an epoch).
+    ``tenant_quotas`` (one positive share per tenant, summing to 1)
+    defaults to an even split.
 
     The planning knobs added by the forecasting/hysteresis work:
 
@@ -338,6 +382,9 @@ class ClusterSpec:
                     f"{len(self.tenant_quotas)} quotas for "
                     f"{self.tenants} tenants"
                 )
+            # The pool's own check, at construction: a bad quota must
+            # not surface mid-run, nor ride silently on a baseline grid.
+            check_tenant_quotas(self.tenant_quotas)
         if self.vnodes <= 0:
             raise ValueError(f"vnodes must be positive: {self.vnodes}")
         if self.floor_pages <= 0:
@@ -441,12 +488,6 @@ class ClusterSpec:
             return None
         return round(self.total_budget_fraction * PAPER_HEAP_GB, 2)
 
-    def ring(self) -> HashRing:
-        """The epoch-0 ring (initial membership)."""
-        return HashRing(
-            range(self.shards), vnodes=self.vnodes, seed=self.ring_seed
-        )
-
     def rings(self) -> List[HashRing]:
         """The per-epoch ring schedule (see :func:`membership_rings`)."""
         return membership_rings(
@@ -457,34 +498,34 @@ class ClusterSpec:
             self.epochs,
         )
 
-    def active(self, epoch: int) -> Tuple[bool, ...]:
-        """Which shard ids are on the ring during ``epoch``."""
-        members = set(self.rings()[epoch].shard_ids)
-        return tuple(
-            shard in members for shard in range(self.total_shards())
-        )
+    def run_params(self) -> Dict[str, object]:
+        """Every field but shard count and battery, as report JSON.
+
+        ``tenant_quotas`` is recorded as given; the planning knobs of
+        :data:`_OMITTED_AT_DEFAULT` are dropped while at their default.
+        A :class:`ClusterGrid` reports exactly this.
+        """
+        data = asdict(self)
+        del data["shards"], data["total_budget_fraction"]
+        if self.tenant_quotas is not None:
+            data["tenant_quotas"] = list(self.tenant_quotas)
+        data["pool_degrade"] = [list(step) for step in self.pool_degrade]
+        data["membership"] = [list(entry) for entry in self.membership]
+        for spec_field in fields(self):
+            if (
+                spec_field.name in _OMITTED_AT_DEFAULT
+                and getattr(self, spec_field.name) == spec_field.default
+            ):
+                del data[spec_field.name]
+        return data
 
     def as_dict(self) -> Dict[str, object]:
-        data = asdict(self)
+        data = self.run_params()
+        data["shards"] = self.shards
+        data["total_budget_fraction"] = self.total_budget_fraction
         data["tenant_quotas"] = (
             list(self.quotas()) if self.tenants > 1 else None
         )
-        data["pool_degrade"] = [list(step) for step in self.pool_degrade]
-        # Default-valued planning knobs are omitted so legacy specs
-        # serialize byte-identically to the pre-forecasting planner
-        # (same precedent as SweepJob.budget_pages).
-        if self.predictor == "last-epoch":
-            data.pop("predictor")
-        if self.ewma_alpha == DEFAULT_EWMA_ALPHA:
-            data.pop("ewma_alpha")
-        if self.churn_cap_pages is None:
-            data.pop("churn_cap_pages")
-        if self.membership:
-            data["membership"] = [list(entry) for entry in self.membership]
-        else:
-            data.pop("membership")
-        if self.hotspot_rotate_keys == 0:
-            data.pop("hotspot_rotate_keys")
         data["total_budget_gb"] = self.total_budget_gb()
         return data
 
@@ -493,28 +534,18 @@ class ClusterSpec:
 class ShardJob:
     """One shard's hermetic execution descriptor (picklable).
 
-    Carries everything a worker needs to rebuild the per-epoch ring
-    schedule, regenerate the global op stream, filter it to this shard,
-    and apply the leased budget schedule — a retried or re-scheduled
-    job produces the identical payload.  ``budget_schedule`` has one
-    lease per rebalance epoch (``None`` = baseline shard).
+    Carries its run's :class:`ClusterSpec` — everything a worker needs
+    to rebuild the per-epoch ring schedule, regenerate the global op
+    stream and filter it to this shard — plus the leased budget
+    schedule, so a retried or re-scheduled job produces the identical
+    payload.  ``budget_schedule`` has one lease per rebalance epoch
+    (``None`` = baseline shard).
     """
 
     index: int
     shard: int
-    shards: int
-    vnodes: int
-    ring_seed: int
-    workload: str
-    theta: float
-    seed: int
-    record_count: int
-    operation_count: int
-    epochs: int
-    tenants: int
+    spec: ClusterSpec
     budget_schedule: Optional[Tuple[int, ...]]
-    membership: Membership = ()
-    hotspot_rotate_keys: int = 0
     timeout_s: Optional[float] = None
     # Test hook: same contract as SweepJob.fault_kill_once_path.
     fault_kill_once_path: Optional[str] = None
@@ -524,31 +555,19 @@ class ShardJob:
     ops_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "membership",
-            _normalize_membership(self.membership, self.shards, self.epochs),
-        )
-        total = self.shards + sum(
-            1 for _, action, _ in self.membership if action == "add"
-        )
+        total = self.spec.total_shards()
         if not 0 <= self.shard < total:
             raise ValueError(
                 f"shard {self.shard} outside [0, {total})"
-            )
-        if self.hotspot_rotate_keys < 0:
-            raise ValueError(
-                f"hotspot_rotate_keys must be non-negative: "
-                f"{self.hotspot_rotate_keys}"
             )
         if self.budget_schedule is not None:
             object.__setattr__(
                 self, "budget_schedule", tuple(self.budget_schedule)
             )
-            if len(self.budget_schedule) != self.epochs:
+            if len(self.budget_schedule) != self.spec.epochs:
                 raise ValueError(
                     f"schedule of {len(self.budget_schedule)} leases for "
-                    f"{self.epochs} epochs"
+                    f"{self.spec.epochs} epochs"
                 )
             for pages in self.budget_schedule:
                 if pages <= 0:
@@ -556,31 +575,19 @@ class ShardJob:
                         f"leased budget must be positive: {pages}"
                     )
 
-    def rings(self) -> List[HashRing]:
-        return membership_rings(
-            self.shards,
-            self.vnodes,
-            self.ring_seed,
-            self.membership,
-            self.epochs,
-        )
-
     def as_dict(self) -> Dict[str, object]:
-        data = asdict(self)
-        data.pop("timeout_s")
-        data.pop("fault_kill_once_path")
-        data.pop("ops_path")
+        data = {
+            name: value
+            for name, value in self.spec.as_dict().items()
+            if name in _ROUTING_PARAMS
+        }
+        data["index"] = self.index
+        data["shard"] = self.shard
         data["budget_schedule"] = (
             list(self.budget_schedule)
             if self.budget_schedule is not None
             else None
         )
-        if self.membership:
-            data["membership"] = [list(entry) for entry in self.membership]
-        else:
-            data.pop("membership")
-        if self.hotspot_rotate_keys == 0:
-            data.pop("hotspot_rotate_keys")
         return data
 
 
@@ -600,24 +607,17 @@ class ClusterPlan:
     migrations: List[Dict[str, object]] = field(default_factory=list)
 
 
-def _compile_stream(
-    params: Union["ClusterGrid", "ClusterSpec", "ShardJob"]
-) -> CompiledStream:
-    """The cluster's global op stream, compiled in-process.
-
-    ``params`` is a :class:`ClusterGrid`, :class:`ClusterSpec` or
-    :class:`ShardJob` — each carries the stream's parameters: workload,
-    dataset, seed, epoch segmentation and hotspot rotation.
-    """
+def _compile_stream(spec: ClusterSpec) -> CompiledStream:
+    """The cluster's global op stream, compiled in-process."""
     return compile_workload(
-        YCSB_WORKLOADS[params.workload],
-        params.record_count,
-        params.operation_count,
+        YCSB_WORKLOADS[spec.workload],
+        spec.record_count,
+        spec.operation_count,
         value_size=ExperimentScale().value_size,
-        theta=params.theta,
-        seed=params.seed,
-        epochs=params.epochs,
-        hotspot_rotate_keys=params.hotspot_rotate_keys,
+        theta=spec.theta,
+        seed=spec.seed,
+        epochs=spec.epochs,
+        hotspot_rotate_keys=spec.hotspot_rotate_keys,
     )
 
 
@@ -628,10 +628,13 @@ def _probe(
 ) -> Tuple[List[List[List[int]]], List[List[bytes]]]:
     """One pass: demand matrices plus inserted keys per epoch.
 
-    ``demands[epoch][tenant][shard]`` counts distinct written keys;
-    ``inserts[epoch]`` lists the keys inserts created during that epoch
-    segment (the coordinator needs them to size migration handoffs —
-    live keys are the loaded records plus every insert so far).
+    ``demands[epoch][tenant][shard]`` counts distinct written keys —
+    mutating ops (update, insert, rmw) contribute their key to the
+    owning shard's demand for the segment the op falls in; this is the
+    pressure signal the rebalancer apportions by.  ``inserts[epoch]``
+    lists the keys inserts created during that epoch segment (the
+    coordinator needs them to size migration handoffs — live keys are
+    the loaded records plus every insert so far).
 
     Vectorized over the compiled ``stream`` (compiled in-process when
     absent).  Per epoch segment: one boolean mask finds the written
@@ -670,26 +673,6 @@ def _probe(
     return demands, inserts
 
 
-def probe_demands(
-    spec: ClusterSpec,
-    ring: Optional[HashRing] = None,
-    stream: Optional[CompiledStream] = None,
-) -> List[List[List[int]]]:
-    """Distinct written keys per (epoch segment, tenant, shard).
-
-    One streaming pass over the global op stream; mutating ops (update,
-    insert, rmw) contribute their key to the owning shard's demand set
-    for the segment the op falls in.  This is the pressure signal the
-    rebalancer apportions by.  ``ring`` overrides the routing ring for
-    every epoch (membership-free callers); by default the spec's own
-    per-epoch ring schedule routes each segment.  ``stream`` is the
-    spec's compiled op stream (compiled in-process when absent).
-    """
-    rings = [ring] * spec.epochs if ring is not None else spec.rings()
-    demands, _ = _probe(spec, rings, stream=stream)
-    return demands
-
-
 def stream_route_counts(
     spec: ClusterSpec,
     stream: Optional[CompiledStream] = None,
@@ -726,32 +709,12 @@ def stream_route_counts(
     }
 
 
-#: Cache key for one spec's probe output: everything the probe depends
-#: on — the workload stream, the segmentation, the tenant count, and
-#: the ring schedule.  Deliberately excludes every budget knob, so a
-#: grid sweeping budgets probes each workload/ring combination once.
-_ProbeKey = Tuple[
-    str, float, int, int, int, int, int, int, int, int, int, Membership
+#: Probe output per :data:`_ROUTING_PARAMS` value tuple — deliberately
+#: free of every budget knob, so a grid sweeping budgets probes each
+#: workload/ring combination once.
+ProbeCache = Dict[
+    Tuple[object, ...], Tuple[List[List[List[int]]], List[List[bytes]]]
 ]
-
-ProbeCache = Dict[_ProbeKey, Tuple[List[List[List[int]]], List[List[bytes]]]]
-
-
-def _probe_cache_key(spec: ClusterSpec) -> _ProbeKey:
-    return (
-        spec.workload,
-        spec.theta,
-        spec.seed,
-        spec.record_count,
-        spec.operation_count,
-        spec.epochs,
-        spec.tenants,
-        spec.hotspot_rotate_keys,
-        spec.shards,
-        spec.vnodes,
-        spec.ring_seed,
-        spec.membership,
-    )
 
 
 def _cached_probe(
@@ -770,7 +733,7 @@ def _cached_probe(
     """
     if cache is None:
         return _probe(spec, rings, stream=stream)
-    key = _probe_cache_key(spec)
+    key = tuple(getattr(spec, name) for name in _ROUTING_PARAMS)
     found = cache.get(key)
     if found is None:
         found = _probe(spec, rings, stream=stream)
@@ -782,14 +745,15 @@ def _reference_lease_vectors(
     spec: ClusterSpec,
     demands: List[List[List[int]]],
     capacity: int,
+    masks: Optional[List[Tuple[bool, ...]]],
 ) -> List[List[int]]:
     """Undamped last-epoch reactive replay of the same run.
 
     The counterfactual baseline for misallocation reporting: identical
-    pool, degradation schedule, and membership masks, but the original
-    reactive protocol (no forecasting, no churn damping).  ``demands``
-    is the coordinator's cached probe output (:func:`_cached_probe`) —
-    this replay never re-streams the workload.
+    pool, degradation schedule, and membership ``masks``, but the
+    original reactive protocol (no forecasting, no churn damping).
+    ``demands`` is the coordinator's cached probe output
+    (:func:`_cached_probe`) — this replay never re-streams the workload.
     """
     pool = BatteryPool(
         capacity_pages=capacity,
@@ -807,7 +771,7 @@ def _reference_lease_vectors(
             if step_epoch == epoch:
                 pool.degrade(fraction)
         observed = demands[epoch - 1] if epoch > 0 else no_history
-        active = spec.active(epoch) if spec.membership else None
+        active = masks[epoch] if masks is not None else None
         leases = pool.rebalance(observed, epoch, active=active)
         vectors.append([lease.pages for lease in leases])
     return vectors
@@ -850,6 +814,23 @@ def _epoch_migrations(
     return ring, records
 
 
+def _record(
+    events: List[Dict[str, object]],
+    tracer: Tracer,
+    event: Type[TraceEvent],
+    **values: Any,
+) -> None:
+    """Record one coordinator event: the report dict, and the live event.
+
+    Both are built from the same ``values``.  The typed event is only
+    constructed under the tracer guard — the untraced path allocates
+    no event objects.
+    """
+    if tracer.enabled:
+        tracer.emit(event(**values))
+    events.append({"type": event.__name__, **values})
+
+
 def plan_cluster(
     spec: ClusterSpec,
     tracer: Tracer = NULL_TRACER,
@@ -866,7 +847,8 @@ def plan_cluster(
     rebalance; membership changes re-ring routing and hand budget
     between shards; per-epoch L1 misallocation against the clairvoyant
     plan is measured for every non-legacy pool run.  Baseline clusters
-    (no pool) plan no leases.
+    (no pool) take the same epoch loop but plan no leases: only their
+    membership changes are recorded.
 
     ``stream`` is the spec's compiled op stream (compiled in-process
     for the probe when absent); ``probe_cache`` (shared across a grid's
@@ -875,105 +857,57 @@ def plan_cluster(
     """
     rings = spec.rings()
     total_shards = spec.total_shards()
+    masks = _active_masks(rings, total_shards) if spec.membership else None
     if stream is not None:
-        stream.require(
+        require_stream(
+            stream,
             YCSB_WORKLOADS[spec.workload],
-            spec.record_count,
-            spec.operation_count,
-            spec.scale().value_size,
-            spec.theta,
-            spec.seed,
+            spec.scale(),
             epochs=spec.epochs,
             hotspot_rotate_keys=spec.hotspot_rotate_keys,
         )
     demands, inserts = _cached_probe(spec, rings, stream, probe_cache)
     capacity = spec.pool_capacity_pages()
+    pool = (
+        None
+        if capacity is None
+        else BatteryPool(
+            capacity_pages=capacity,
+            shards=total_shards,
+            tenant_quotas=spec.quotas(),
+            floor_pages=spec.floor_pages,
+            churn_cap_pages=spec.churn_cap_pages,
+        )
+    )
+    predictor = make_predictor(
+        spec.predictor, spec.tenants, total_shards, spec.ewma_alpha
+    )
     live_keys: List[bytes] = [
         make_key(index) for index in range(spec.record_count)
     ]
     events: List[Dict[str, object]] = []
     migrations: List[Dict[str, object]] = []
-
-    if capacity is None:
-        # Baseline cluster: no pool to lease, but membership changes
-        # still move keys, so the migration records are still planned.
-        ring = rings[0]
-        for epoch in range(1, spec.epochs):
-            live_keys.extend(inserts[epoch - 1])
-            if rings[epoch] is rings[epoch - 1]:
-                continue
-            ring, records = _epoch_migrations(spec, epoch, ring, live_keys)
-            migrations.extend(records)
-            for record in records:
-                if tracer.enabled:
-                    tracer.emit(
-                        ShardMigration(
-                            t=epoch,
-                            epoch=epoch,
-                            action=str(record["action"]),
-                            shard=int(record["shard"]),  # type: ignore[arg-type]
-                            moved_keys=int(record["moved_keys"]),  # type: ignore[arg-type]
-                            arc_moved=float(record["arc_moved"]),  # type: ignore[arg-type]
-                            shards_after=int(record["shards_after"]),  # type: ignore[arg-type]
-                        )
-                    )
-                events.append(
-                    {"type": "ShardMigration", "t": epoch, **record}
-                )
-        return ClusterPlan(
-            spec=spec,
-            ring_checksum=rings[0].layout_checksum(),
-            demands=demands,
-            leases=[],
-            capacity_schedule=[],
-            schedules=None,
-            events=events,
-            migrations=migrations,
-        )
-
-    pool = BatteryPool(
-        capacity_pages=capacity,
-        shards=total_shards,
-        tenant_quotas=spec.quotas(),
-        floor_pages=spec.floor_pages,
-        churn_cap_pages=spec.churn_cap_pages,
-    )
-    predictor = make_predictor(
-        spec.predictor, spec.tenants, total_shards, spec.ewma_alpha
-    )
-    capacity_schedule: List[int] = []
     starved: List[Dict[str, int]] = []
+    capacity_schedule: List[int] = []
     ring = rings[0]
-    previous_active = spec.active(0) if spec.membership else None
     for epoch in range(spec.epochs):
-        epoch_events: List[Dict[str, object]] = []
         if epoch > 0:
             live_keys.extend(inserts[epoch - 1])
-        if epoch > 0 and rings[epoch] is not rings[epoch - 1]:
-            ring, records = _epoch_migrations(spec, epoch, ring, live_keys)
-            migrations.extend(records)
-            for record in records:
-                if tracer.enabled:
-                    tracer.emit(
-                        ShardMigration(
-                            t=epoch,
-                            epoch=epoch,
-                            action=str(record["action"]),
-                            shard=int(record["shard"]),  # type: ignore[arg-type]
-                            moved_keys=int(record["moved_keys"]),  # type: ignore[arg-type]
-                            arc_moved=float(record["arc_moved"]),  # type: ignore[arg-type]
-                            shards_after=int(record["shards_after"]),  # type: ignore[arg-type]
-                        )
-                    )
-                epoch_events.append(
-                    {"type": "ShardMigration", "t": epoch, **record}
+            if rings[epoch] is not rings[epoch - 1]:
+                ring, records = _epoch_migrations(
+                    spec, epoch, ring, live_keys
                 )
+                for record in records:
+                    migrations.append(record)
+                    _record(events, tracer, ShardMigration, t=epoch, **record)
+        if pool is None:
+            continue
         for step_epoch, fraction in spec.pool_degrade:
             if step_epoch == epoch:
                 pool.degrade(fraction)
         capacity_schedule.append(pool.capacity_pages)
         forecast = predictor.forecast()
-        active = spec.active(epoch) if spec.membership else None
+        active = masks[epoch] if masks is not None else None
         if epoch > 0:
             # The even-split fallback is fine at epoch 0 (no history
             # exists yet) but a starvation signal afterwards: the
@@ -986,127 +920,79 @@ def plan_cluster(
                 )
                 if demand_total == 0:
                     starved.append({"epoch": epoch, "tenant": tenant})
-                    if tracer.enabled:
-                        tracer.emit(
-                            DemandStarved(t=epoch, epoch=epoch, tenant=tenant)
-                        )
-                    epoch_events.append(
-                        {
-                            "type": "DemandStarved",
-                            "t": epoch,
-                            "epoch": epoch,
-                            "tenant": tenant,
-                        }
+                    _record(
+                        events,
+                        tracer,
+                        DemandStarved,
+                        t=epoch,
+                        epoch=epoch,
+                        tenant=tenant,
                     )
         leases = pool.rebalance(forecast, epoch, active=active)
         predictor.observe(demands[epoch])
-        moved = pool.moved_pages(epoch)
-        # The report's event dicts are built by hand so the dataclasses
-        # are only constructed under the tracer guard (the untraced path
-        # must allocate no event objects).
-        if tracer.enabled:
-            tracer.emit(
-                ShardRebalance(
-                    t=epoch,
-                    epoch=epoch,
-                    shards=total_shards,
-                    moved_pages=moved,
-                    leased_pages=pool.leased_pages(epoch),
-                    capacity_pages=pool.capacity_pages,
-                )
+        _record(
+            events,
+            tracer,
+            ShardRebalance,
+            t=epoch,
+            epoch=epoch,
+            shards=total_shards,
+            moved_pages=pool.churn(epoch).grown,
+            leased_pages=pool.leased_pages(epoch),
+            capacity_pages=pool.capacity_pages,
+        )
+        for lease in leases:
+            _record(
+                events,
+                tracer,
+                BudgetLease,
+                t=epoch,
+                shard=lease.shard,
+                epoch=epoch,
+                pages=lease.pages,
+                demand=lease.demand,
             )
-            for lease in leases:
-                tracer.emit(
-                    BudgetLease(
-                        t=epoch,
-                        shard=lease.shard,
-                        epoch=epoch,
-                        pages=lease.pages,
-                        demand=lease.demand,
-                    )
-                )
-        epoch_events.append(
-            {
-                "type": "ShardRebalance",
-                "t": epoch,
-                "epoch": epoch,
-                "shards": total_shards,
-                "moved_pages": moved,
-                "leased_pages": pool.leased_pages(epoch),
-                "capacity_pages": pool.capacity_pages,
-            }
-        )
-        epoch_events.extend(
-            {
-                "type": "BudgetLease",
-                "t": epoch,
-                "shard": lease.shard,
-                "epoch": epoch,
-                "pages": lease.pages,
-                "demand": lease.demand,
-            }
-            for lease in leases
-        )
-        if active is not None and previous_active is not None and epoch > 0:
+        if masks is not None and epoch > 0:
             previous_leases = pool.lease_history[epoch - 1]
             for shard in range(total_shards):
-                if active[shard] == previous_active[shard]:
+                if masks[epoch][shard] == masks[epoch - 1][shard]:
                     continue
-                kind = "grant" if active[shard] else "release"
-                pages = abs(
-                    leases[shard].pages - previous_leases[shard].pages
+                _record(
+                    events,
+                    tracer,
+                    BudgetHandoff,
+                    t=epoch,
+                    epoch=epoch,
+                    shard=shard,
+                    pages=abs(
+                        leases[shard].pages - previous_leases[shard].pages
+                    ),
+                    kind="grant" if masks[epoch][shard] else "release",
                 )
-                if tracer.enabled:
-                    tracer.emit(
-                        BudgetHandoff(
-                            t=epoch,
-                            epoch=epoch,
-                            shard=shard,
-                            pages=pages,
-                            kind=kind,
-                        )
-                    )
-                epoch_events.append(
-                    {
-                        "type": "BudgetHandoff",
-                        "t": epoch,
-                        "epoch": epoch,
-                        "shard": shard,
-                        "pages": pages,
-                        "kind": kind,
-                    }
-                )
-        previous_active = active
-        events.extend(epoch_events)
     misallocation: Optional[Dict[str, object]] = None
-    if not spec.is_legacy():
-        lease_vectors = [
-            [lease.pages for lease in epoch_leases]
-            for epoch_leases in pool.lease_history
-        ]
-        reference = _reference_lease_vectors(spec, demands, capacity)
-        active_schedule = (
-            [spec.active(epoch) for epoch in range(spec.epochs)]
-            if spec.membership
-            else None
-        )
+    if pool is not None and not spec.is_legacy():
         misallocation = misallocation_report(
             spec.predictor,
-            lease_vectors,
-            reference,
+            [
+                [lease.pages for lease in epoch_leases]
+                for epoch_leases in pool.lease_history
+            ],
+            _reference_lease_vectors(
+                spec, demands, pool.nominal_capacity_pages, masks
+            ),
             demands,
             capacity_schedule,
             spec.quotas(),
             spec.floor_pages,
-            active_schedule,
+            masks,
         )
     return ClusterPlan(
         spec=spec,
         ring_checksum=rings[0].layout_checksum(),
         demands=demands,
-        leases=pool.lease_history,
+        leases=pool.lease_history if pool is not None else [],
         capacity_schedule=capacity_schedule,
-        schedules=pool.schedules(),
+        schedules=pool.schedules() if pool is not None else None,
         events=events,
         misallocation=misallocation,
         starved=starved,
@@ -1155,11 +1041,12 @@ def _shard_batches(
     all shards.  Segments past the stream's last operation are never
     entered.
     """
+    spec = job.spec
     schedule = job.budget_schedule
-    tenant_ops: List[int] = [0] * job.tenants
+    tenant_ops: List[int] = [0] * spec.tenants
     routed = 0
     migrated_in = 0
-    track_keys = bool(job.membership)
+    track_keys = bool(spec.membership)
     bounds = stream.segment_bounds
     if track_keys:
         insert_positions = np.flatnonzero(
@@ -1169,10 +1056,10 @@ def _shard_batches(
             np.asarray(stream.key_indices)[insert_positions]
         ).tolist()
         record_keys = key_array(
-            np.arange(job.record_count, dtype=np.int64)
+            np.arange(spec.record_count, dtype=np.int64)
         ).tolist()
     last_segment = -1
-    for epoch in range(job.epochs):
+    for epoch in range(spec.epochs):
         if bounds[epoch] < bounds[epoch + 1]:
             last_segment = epoch
     for segment in range(last_segment + 1):
@@ -1207,9 +1094,9 @@ def _shard_batches(
         routed += own_count
         own_indices = indices[own]
         per_tenant = np.bincount(
-            own_indices % job.tenants, minlength=job.tenants
+            own_indices % spec.tenants, minlength=spec.tenants
         )
-        for tenant in range(job.tenants):
+        for tenant in range(spec.tenants):
             tenant_ops[tenant] += int(per_tenant[tenant])
         kinds = [
             KIND_NAMES[code]
@@ -1232,32 +1119,25 @@ def _shard_batches(
 
 def _execute_shard(job: ShardJob) -> Dict[str, object]:
     """Build one shard, load its slice of the keyspace, serve its ops."""
-    wspec = YCSB_WORKLOADS[job.workload]
-    scale = ExperimentScale(
-        record_count=job.record_count,
-        operation_count=job.operation_count,
-        zipf_theta=job.theta,
-        seed=job.seed,
-    )
+    spec = job.spec
+    wspec = YCSB_WORKLOADS[spec.workload]
+    scale = spec.scale()
     # The coordinator's compiled stream arrives by path and is opened
     # read-only (np.memmap): every worker shares the parent's single
     # compilation through the page cache.  A job without one compiles
     # the same stream in-process.
     if job.ops_path is not None:
         stream = open_ops(job.ops_path)
-        stream.require(
+        require_stream(
+            stream,
             wspec,
-            job.record_count,
-            job.operation_count,
-            scale.value_size,
-            job.theta,
-            job.seed,
-            epochs=job.epochs,
-            hotspot_rotate_keys=job.hotspot_rotate_keys,
+            scale,
+            epochs=spec.epochs,
+            hotspot_rotate_keys=spec.hotspot_rotate_keys,
         )
     else:
-        stream = _compile_stream(job)
-    rings = job.rings()
+        stream = _compile_stream(spec)
+    rings = spec.rings()
     viyojit: Optional[Viyojit]
     system: NVDRAMSystem
     if job.budget_schedule is None:
@@ -1273,7 +1153,7 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
     )
     # One vectorized routing pass decides record ownership (put order
     # stays the sequential key-index order of the load phase).
-    record_indices = np.arange(job.record_count, dtype=np.int64)
+    record_indices = np.arange(spec.record_count, dtype=np.int64)
     owned = rings[0].shard_for_rows(key_rows(record_indices)) == job.shard
     own_record_keys = key_array(record_indices[owned]).tolist()
     runner.load(own_record_keys)
@@ -1292,7 +1172,7 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
         if job.budget_schedule is not None
         else None
     )
-    if job.membership:
+    if spec.membership:
         payload["migrated_in_keys"] = counters["migrated_in_keys"]
     return payload
 
@@ -1300,33 +1180,17 @@ def _execute_shard(job: ShardJob) -> Dict[str, object]:
 def run_shard_job(job: ShardJob, in_worker: bool = False) -> Dict[str, object]:
     """Run one shard job and return its mergeable payload.
 
-    Same hermetic-worker contract as
-    :func:`repro.parallel.worker.run_sweep_job`: the SIGKILL fault hook
+    The hermetic-worker contract of
+    :func:`repro.parallel.worker.run_hermetic`: the SIGKILL fault hook
     only arms inside a sacrificial pool worker, and wall time flows
     through the sanctioned timer.
     """
-    if in_worker:
-        maybe_kill_once(
-            job.fault_kill_once_path, f"shard {job.shard} (job {job.index})"
-        )
-    alarmed = arm_job_timeout(
-        job.timeout_s, f"shard {job.shard} (job {job.index})"
+    return run_hermetic(
+        job,
+        f"shard {job.shard} (job {job.index})",
+        in_worker,
+        lambda: _execute_shard(job),
     )
-    try:
-        holder: Dict[str, Dict[str, object]] = {}
-
-        def one_pass() -> None:
-            holder["result"] = _execute_shard(job)
-
-        wall_s = best_of(1, one_pass)
-    finally:
-        if alarmed:
-            disarm_job_timeout()
-    return {
-        "job": job.as_dict(),
-        "result": holder["result"],
-        "wall_s": wall_s,
-    }
 
 
 def pool_run_shard_job(job: ShardJob) -> Dict[str, object]:
@@ -1337,136 +1201,112 @@ def pool_run_shard_job(job: ShardJob) -> Dict[str, object]:
 # -- cluster grids (coordinator side) --------------------------------------
 
 
-@dataclass(frozen=True)
+#: The :class:`ClusterSpec` fields a grid takes as keywords: all but
+#: the two axes the grid itself varies.
+_GRID_PARAMS = frozenset(f.name for f in fields(ClusterSpec)) - {
+    "shards",
+    "total_budget_fraction",
+}
+
+#: The spec a grid's keywords override when no ``base`` is given.
+_DEFAULT_SPEC = ClusterSpec(shards=1, total_budget_fraction=None)
+
+
+@dataclass(frozen=True, init=False)
 class ClusterGrid:
     """Shard counts x total pool batteries, at one workload and scale.
+
+    Every other run parameter is a :class:`ClusterSpec` field: the
+    constructor takes them as keywords (``ClusterGrid(shard_counts=(4,),
+    operation_count=6000, ...)``, overriding ``base`` when one is given,
+    as :func:`dataclasses.replace` does) and holds them once, in
+    ``base`` — the spec at the first shard count with a full battery.
+    Reading one off the grid (``grid.operation_count``) reads it from
+    there.
 
     The expansion order (shard count outer, budget inner) is part of the
     on-disk contract: global job indices key the merged report.
     """
 
-    shard_counts: Tuple[int, ...] = (4,)
-    total_budgets_gb: Tuple[Optional[float], ...] = (
-        None,
-    ) + DEFAULT_TOTAL_BUDGETS_GB
-    workload: str = "YCSB-A"
-    theta: float = 0.99
-    seed: int = 42
-    record_count: int = 2_000
-    operation_count: int = 6_000
-    epochs: int = 4
-    tenants: int = 1
-    tenant_quotas: Optional[Tuple[float, ...]] = None
-    vnodes: int = 32
-    ring_seed: int = 17
-    floor_pages: int = 1
-    pool_degrade: Tuple[Tuple[int, float], ...] = ()
-    predictor: str = "last-epoch"
-    ewma_alpha: float = DEFAULT_EWMA_ALPHA
-    churn_cap_pages: Optional[int] = None
-    membership: Membership = ()
-    hotspot_rotate_keys: int = 0
+    shard_counts: Tuple[int, ...]
+    total_budgets_gb: Tuple[Optional[float], ...]
+    base: ClusterSpec
 
-    def __post_init__(self) -> None:
-        if not self.shard_counts:
+    def __init__(
+        self,
+        shard_counts: Sequence[int] = (4,),
+        total_budgets_gb: Sequence[Optional[float]] = (
+            (None,) + DEFAULT_TOTAL_BUDGETS_GB
+        ),
+        base: Optional[ClusterSpec] = None,
+        **params: Any,
+    ) -> None:
+        if not shard_counts:
             raise ValueError("grid needs at least one shard count")
-        if len(set(self.shard_counts)) != len(self.shard_counts):
+        if len(set(shard_counts)) != len(shard_counts):
             raise ValueError("duplicate shard counts in grid")
-        if not self.total_budgets_gb:
+        if not total_budgets_gb:
             raise ValueError("grid needs at least one total budget")
-        if len(set(self.total_budgets_gb)) != len(self.total_budgets_gb):
+        if len(set(total_budgets_gb)) != len(total_budgets_gb):
             raise ValueError("duplicate total budgets in grid")
+        object.__setattr__(self, "shard_counts", tuple(shard_counts))
+        object.__setattr__(self, "total_budgets_gb", tuple(total_budgets_gb))
+        object.__setattr__(
+            self,
+            "base",
+            replace(
+                base if base is not None else _DEFAULT_SPEC,
+                shards=self.shard_counts[0],
+                total_budget_fraction=None,
+                **params,
+            ),
+        )
         # Spec construction validates everything else per run.
-        for spec in self.specs():
-            del spec
+        self.specs()
+
+    def __getattr__(self, name: str) -> Any:
+        if name in _GRID_PARAMS:
+            return getattr(self.base, name)
+        raise AttributeError(name)
 
     def specs(self) -> Tuple[ClusterSpec, ...]:
-        out = []
-        for shards in self.shard_counts:
-            for budget_gb in self.total_budgets_gb:
-                out.append(
-                    ClusterSpec(
-                        shards=shards,
-                        total_budget_fraction=(
-                            None
-                            if budget_gb is None
-                            else budget_gb / PAPER_HEAP_GB
-                        ),
-                        workload=self.workload,
-                        theta=self.theta,
-                        seed=self.seed,
-                        record_count=self.record_count,
-                        operation_count=self.operation_count,
-                        epochs=self.epochs,
-                        tenants=self.tenants,
-                        tenant_quotas=self.tenant_quotas,
-                        vnodes=self.vnodes,
-                        ring_seed=self.ring_seed,
-                        floor_pages=self.floor_pages,
-                        pool_degrade=self.pool_degrade,
-                        predictor=self.predictor,
-                        ewma_alpha=self.ewma_alpha,
-                        churn_cap_pages=self.churn_cap_pages,
-                        membership=self.membership,
-                        hotspot_rotate_keys=self.hotspot_rotate_keys,
-                    )
-                )
-        return tuple(out)
+        return tuple(
+            replace(
+                self.base,
+                shards=shards,
+                total_budget_fraction=(
+                    None if budget_gb is None else budget_gb / PAPER_HEAP_GB
+                ),
+            )
+            for shards in self.shard_counts
+            for budget_gb in self.total_budgets_gb
+        )
 
     def as_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
-            "shard_counts": list(self.shard_counts),
-            "total_budgets_gb": list(self.total_budgets_gb),
-            "workload": self.workload,
-            "theta": self.theta,
-            "seed": self.seed,
-            "record_count": self.record_count,
-            "operation_count": self.operation_count,
-            "epochs": self.epochs,
-            "tenants": self.tenants,
-            "tenant_quotas": (
-                list(self.tenant_quotas)
-                if self.tenant_quotas is not None
-                else None
-            ),
-            "vnodes": self.vnodes,
-            "ring_seed": self.ring_seed,
-            "floor_pages": self.floor_pages,
-            "pool_degrade": [list(step) for step in self.pool_degrade],
-        }
-        # Default-valued planning knobs are omitted for legacy
-        # byte-compatibility, mirroring ClusterSpec.as_dict.
-        if self.predictor != "last-epoch":
-            data["predictor"] = self.predictor
-        if self.ewma_alpha != DEFAULT_EWMA_ALPHA:
-            data["ewma_alpha"] = self.ewma_alpha
-        if self.churn_cap_pages is not None:
-            data["churn_cap_pages"] = self.churn_cap_pages
-        if self.membership:
-            data["membership"] = [list(entry) for entry in self.membership]
-        if self.hotspot_rotate_keys:
-            data["hotspot_rotate_keys"] = self.hotspot_rotate_keys
+        data = self.base.run_params()
+        data["shard_counts"] = list(self.shard_counts)
+        data["total_budgets_gb"] = list(self.total_budgets_gb)
         return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ClusterGrid":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - _GRID_PARAMS - {
+            "shard_counts",
+            "total_budgets_gb",
+        }
         if unknown:
             raise ValueError(f"unknown grid keys: {sorted(unknown)}")
-        kwargs: Dict[str, object] = {}
+        kwargs: Dict[str, Any] = {}
         for key, value in data.items():
             if key in ("pool_degrade", "membership") and isinstance(
                 value, list
             ):
-                kwargs[key] = tuple(
-                    tuple(step) for step in value  # type: ignore[arg-type]
-                )
+                kwargs[key] = tuple(tuple(step) for step in value)
             elif isinstance(value, list):
                 kwargs[key] = tuple(value)
             else:
                 kwargs[key] = value
-        return cls(**kwargs)  # type: ignore[arg-type]
+        return cls(**kwargs)
 
 
 def shard_jobs(
@@ -1486,36 +1326,22 @@ def shard_jobs(
     grid runs share a workload, so one file serves them all.
     """
     jobs: List[ShardJob] = []
-    index = 0
     for plan in plans:
-        spec = plan.spec
-        for shard in range(spec.total_shards()):
+        for shard in range(plan.spec.total_shards()):
             jobs.append(
                 ShardJob(
-                    index=index,
+                    index=len(jobs),
                     shard=shard,
-                    shards=spec.shards,
-                    vnodes=spec.vnodes,
-                    ring_seed=spec.ring_seed,
-                    workload=spec.workload,
-                    theta=spec.theta,
-                    seed=spec.seed,
-                    record_count=spec.record_count,
-                    operation_count=spec.operation_count,
-                    epochs=spec.epochs,
-                    tenants=spec.tenants,
+                    spec=plan.spec,
                     budget_schedule=(
                         plan.schedules[shard]
                         if plan.schedules is not None
                         else None
                     ),
-                    membership=spec.membership,
-                    hotspot_rotate_keys=spec.hotspot_rotate_keys,
                     timeout_s=timeout_s,
                     ops_path=ops_path,
                 )
             )
-            index += 1
     return jobs
 
 
@@ -1528,7 +1354,7 @@ def _materialize_grid_stream(grid: ClusterGrid, directory: str) -> str:
     shard worker replay the same memory-mapped arrays.
     """
     path = os.path.join(directory, "cluster.ops")
-    save_ops(_compile_stream(grid), path)
+    save_ops(_compile_stream(grid.base), path)
     return path
 
 
@@ -1600,7 +1426,6 @@ __all__ = [
     "membership_rings",
     "plan_cluster",
     "pool_run_shard_job",
-    "probe_demands",
     "run_cluster_grid",
     "run_shard_job",
     "shard_jobs",

@@ -90,24 +90,49 @@ def build_sweep_report(
     missing = expected - set(results)
     if missing:
         raise ValueError(f"results missing job indices: {sorted(missing)}")
-    jobs = []
-    job_wall_s: Dict[str, float] = {}
-    for index in sorted(results):
-        payload = results[index]
-        jobs.append({"job": payload["job"], "result": payload["result"]})
-        job_wall_s[str(index)] = round(payload["wall_s"], 6)
+    jobs = [
+        {"job": results[index]["job"], "result": results[index]["result"]}
+        for index in sorted(results)
+    ]
     report: Dict[str, object] = {
         "schema_version": SWEEP_SCHEMA_VERSION,
         "grid": grid.as_dict(),
         "jobs": jobs,
         "tables": {"throughput_vs_budget": _throughput_rows(jobs)},
     }
+    return seal(
+        report,
+        results,
+        workers=workers,
+        total_wall_s=total_wall_s,
+        retries=retries,
+    )
+
+
+def seal(
+    report: Dict[str, object],
+    results: Dict[int, dict],
+    *,
+    workers: int,
+    total_wall_s: float,
+    retries: int,
+) -> dict:
+    """Checksum ``report``'s deterministic view, then attach ``wall``.
+
+    The one place a merged report (SWEEP.json or CLUSTER.json) gets its
+    checksum and its quarantined wall-clock block: worker count, retry
+    count, total and per-job wall seconds (from the ``results``
+    payloads), and the generation timestamp.
+    """
     report["checksum_sha256"] = checksum(report)
     report["wall"] = {
         "workers": workers,
         "retries": retries,
         "total_wall_s": round(total_wall_s, 6),
-        "job_wall_s": job_wall_s,
+        "job_wall_s": {
+            str(index): round(payload["wall_s"], 6)
+            for index, payload in sorted(results.items())
+        },
         "generated_at_unix": round(timestamp(), 3),
     }
     return report

@@ -9,10 +9,11 @@ the foundation of the sweep's cross-``--jobs`` byte-identity.  Wall time
 is measured through :func:`repro.perf.timer.best_of` (the sanctioned
 wall-clock site) and reported separately.
 
-The fault-hook (:func:`maybe_kill_once`) and timeout
-(:func:`arm_job_timeout` / :func:`disarm_job_timeout`) helpers are
-shared with the cluster shard worker (:mod:`repro.cluster.runner`),
-which runs the same hermetic protocol over shard jobs.
+The hermetic protocol itself — fault hook (:func:`maybe_kill_once`),
+per-job timeout (:func:`arm_job_timeout` / :func:`disarm_job_timeout`)
+and the timed ``{job, result, wall_s}`` payload — is
+:func:`run_hermetic`, shared with the cluster shard worker
+(:mod:`repro.cluster.runner`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import os
 import signal
 import threading
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.bench.runner import ExperimentScale, RunResult, run_workload
 from repro.parallel.grid import SweepJob
@@ -76,41 +77,41 @@ def maybe_kill_once(path: Optional[str], label: str) -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def run_sweep_job(job: SweepJob, in_worker: bool = False) -> Dict[str, object]:
-    """Run one sweep job and return its mergeable payload.
+class HermeticJob(Protocol):
+    """What :func:`run_hermetic` needs of a job descriptor."""
 
-    ``in_worker`` is set by the pool entry point: the SIGKILL fault hook
-    and the SIGALRM timeout only arm inside a sacrificial worker process
-    (or, for the timeout, the main thread of a serial run).
+    @property
+    def timeout_s(self) -> Optional[float]: ...
+
+    @property
+    def fault_kill_once_path(self) -> Optional[str]: ...
+
+    def as_dict(self) -> Dict[str, object]: ...
+
+
+def run_hermetic(
+    job: HermeticJob,
+    label: str,
+    in_worker: bool,
+    execute: Callable[[], Dict[str, object]],
+) -> Dict[str, object]:
+    """Run one job under the hermetic-worker protocol; return its payload.
+
+    ``in_worker`` is set by the pool entry points: the SIGKILL fault
+    hook only arms inside a sacrificial worker process, and the SIGALRM
+    timeout only on a main thread (a pool worker's, or a serial run's).
+    ``execute`` produces the job's deterministic result; its wall time
+    is measured through the sanctioned timer and reported beside it, as
+    ``{job, result, wall_s}``.  Sweep and shard jobs both run this.
     """
     if in_worker:
-        maybe_kill_once(job.fault_kill_once_path, f"job {job.index}")
-    spec = YCSB_WORKLOADS[job.workload]
-    scale = ExperimentScale(
-        record_count=job.record_count,
-        operation_count=job.operation_count,
-        zipf_theta=job.theta,
-        seed=job.seed,
-    )
-    # A pre-compiled stream is opened read-only (np.memmap, mode="r"):
-    # any number of workers can share the parent's one compilation
-    # through the page cache, and nothing in a worker can write to it.
-    # A job without one compiles its stream in-process.
-    compiled = open_ops(job.ops_path) if job.ops_path is not None else None
-    alarmed = arm_job_timeout(
-        job.timeout_s, f"job {job.index} ({job.workload})"
-    )
+        maybe_kill_once(job.fault_kill_once_path, label)
+    alarmed = arm_job_timeout(job.timeout_s, label)
     try:
-        holder: Dict[str, RunResult] = {}
+        holder: Dict[str, Dict[str, object]] = {}
 
         def one_pass() -> None:
-            holder["result"] = run_workload(
-                spec,
-                scale,
-                job.budget_fraction,
-                budget_pages=job.budget_pages,
-                compiled=compiled,
-            )
+            holder["result"] = execute()
 
         wall_s = best_of(1, one_pass)
     finally:
@@ -118,9 +119,41 @@ def run_sweep_job(job: SweepJob, in_worker: bool = False) -> Dict[str, object]:
             disarm_job_timeout()
     return {
         "job": job.as_dict(),
-        "result": result_payload(holder["result"]),
+        "result": holder["result"],
         "wall_s": wall_s,
     }
+
+
+def run_sweep_job(job: SweepJob, in_worker: bool = False) -> Dict[str, object]:
+    """Run one sweep job and return its mergeable payload."""
+    scale = ExperimentScale(
+        record_count=job.record_count,
+        operation_count=job.operation_count,
+        zipf_theta=job.theta,
+        seed=job.seed,
+    )
+
+    def execute() -> Dict[str, object]:
+        # A pre-compiled stream is opened read-only (np.memmap,
+        # mode="r"): any number of workers can share the parent's one
+        # compilation through the page cache, and nothing in a worker
+        # can write to it.  A job without one compiles its stream
+        # in-process.
+        compiled = (
+            open_ops(job.ops_path) if job.ops_path is not None else None
+        )
+        return result_payload(
+            run_workload(
+                YCSB_WORKLOADS[job.workload],
+                scale,
+                job.budget_fraction,
+                compiled=compiled,
+            )
+        )
+
+    return run_hermetic(
+        job, f"job {job.index} ({job.workload})", in_worker, execute
+    )
 
 
 def arm_job_timeout(timeout_s: Optional[float], label: str) -> bool:

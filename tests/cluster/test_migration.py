@@ -27,6 +27,7 @@ from repro.cluster import (
 )
 from repro.cluster.ring import RING_SIZE
 from repro.cluster.report import dumps
+from repro.cluster.runner import _active_masks
 
 # -- membership-schedule validation ----------------------------------------
 
@@ -63,9 +64,10 @@ def test_membership_schedule_is_sorted_by_epoch():
     spec = _spec(((3, "remove", 0), (1, "add", 2)))
     assert spec.membership == ((1, "add", 2), (3, "remove", 0))
     assert spec.total_shards() == 3
-    assert spec.active(0) == (True, True, False)
-    assert spec.active(1) == (True, True, True)
-    assert spec.active(3) == (False, True, True)
+    masks = _active_masks(spec.rings(), spec.total_shards())
+    assert masks[0] == (True, True, False)
+    assert masks[1] == (True, True, True)
+    assert masks[3] == (False, True, True)
 
 
 def test_membership_rings_reuse_unchanged_epochs():
@@ -79,25 +81,24 @@ def test_membership_rings_reuse_unchanged_epochs():
 
 
 def test_shard_job_accepts_added_shard_ids_only_with_membership():
-    kwargs = dict(
-        index=0,
+    legacy_spec = ClusterSpec(
         shards=2,
-        vnodes=16,
-        ring_seed=17,
-        workload="YCSB-A",
-        theta=0.99,
-        seed=42,
+        total_budget_fraction=None,
         record_count=100,
         operation_count=200,
         epochs=4,
-        tenants=1,
-        budget_schedule=None,
+        vnodes=16,
+    )
+    migrating_spec = dataclasses.replace(
+        legacy_spec, membership=((1, "add", 2),)
     )
     with pytest.raises(ValueError, match="outside"):
-        ShardJob(shard=2, **kwargs)
-    job = ShardJob(shard=2, membership=((1, "add", 2),), **kwargs)
+        ShardJob(index=0, shard=2, spec=legacy_spec, budget_schedule=None)
+    job = ShardJob(
+        index=0, shard=2, spec=migrating_spec, budget_schedule=None
+    )
     assert job.as_dict()["membership"] == [[1, "add", 2]]
-    legacy = ShardJob(shard=1, **kwargs)
+    legacy = ShardJob(index=0, shard=1, spec=legacy_spec, budget_schedule=None)
     assert "membership" not in legacy.as_dict()
 
 

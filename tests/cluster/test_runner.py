@@ -2,9 +2,10 @@
 
 Covers the parts between the ring and the report: every global op is
 served by exactly one shard, leased budgets actually land on the shard
-instances (including through ``SweepJob.budget_pages``), reactive
-rebalancing follows observed demand, and the ``repro cluster`` CLI
-produces the same bytes at any ``--jobs`` count.
+instances, reactive rebalancing follows observed demand, every planner
+event is recorded once for the report and the tracer alike, and the
+``repro cluster`` CLI produces the same bytes at any ``--jobs`` count
+(and rejects invalid grids cleanly).
 """
 
 from __future__ import annotations
@@ -19,13 +20,11 @@ from repro.cluster import (
     ClusterSpec,
     ShardJob,
     plan_cluster,
-    probe_demands,
     run_cluster_grid,
     run_shard_job,
     shard_jobs,
 )
-from repro.parallel.grid import SweepGrid, SweepJob
-from repro.parallel.worker import run_sweep_job
+from repro.cluster.runner import _probe
 
 SPEC = ClusterSpec(
     shards=3,
@@ -83,7 +82,7 @@ def test_baseline_cluster_runs_full_battery_shards():
 def test_reactive_rebalancing_follows_observed_demand():
     """After epoch 0's even split, leases track the prior epoch's skew."""
     plan = plan_cluster(SPEC)
-    demands = probe_demands(SPEC, SPEC.ring())
+    demands, _ = _probe(SPEC, [SPEC.rings()[0]] * SPEC.epochs)
     for epoch in range(1, SPEC.epochs):
         observed = [
             sum(demands[epoch - 1][tenant][shard] for tenant in range(SPEC.tenants))
@@ -92,50 +91,6 @@ def test_reactive_rebalancing_follows_observed_demand():
         leases = [lease.pages for lease in plan.leases[epoch]]
         # The most-demanding shard gets the largest lease.
         assert leases.index(max(leases)) == observed.index(max(observed))
-
-
-def test_sweep_job_budget_pages_threads_through():
-    """Satellite fix: SweepJob carries an exact leased page budget."""
-    grid = SweepGrid(
-        workloads=("YCSB-A",),
-        budget_fractions=(0.5,),
-        record_count=200,
-        operation_count=400,
-    )
-    base = grid.jobs()[0]
-    import dataclasses
-
-    leased = dataclasses.replace(base, budget_pages=37)
-    payload = run_sweep_job(leased)
-    assert payload["result"]["budget_pages"] == 37
-    assert payload["job"]["budget_pages"] == 37
-    # Absent the override, as_dict keeps the old SWEEP.json surface.
-    assert "budget_pages" not in run_sweep_job(base)["job"]
-
-
-def test_sweep_job_budget_pages_validation():
-    with pytest.raises(ValueError):
-        SweepJob(
-            index=0,
-            workload="YCSB-A",
-            budget_fraction=None,
-            theta=0.99,
-            seed=42,
-            record_count=100,
-            operation_count=100,
-            budget_pages=10,
-        )
-    with pytest.raises(ValueError):
-        SweepJob(
-            index=0,
-            workload="YCSB-A",
-            budget_fraction=0.5,
-            theta=0.99,
-            seed=42,
-            record_count=100,
-            operation_count=100,
-            budget_pages=0,
-        )
 
 
 def test_degraded_pool_run_passes_sanitized():
@@ -157,21 +112,40 @@ def test_degraded_pool_run_passes_sanitized():
 
 
 def test_plan_cluster_emits_lease_events_when_traced():
-    """A live tracer sees the same protocol the report records."""
-    from repro.obs.events import BudgetLease, ShardRebalance
+    """A live tracer sees exactly the events the report records.
+
+    A read-only workload starves every tenant's demand signal, and the
+    membership schedule adds migrations and budget handoffs, so all
+    five coordinator event kinds are covered.
+    """
     from repro.obs.tracer import RecordingTracer
 
+    spec = ClusterSpec(
+        shards=3,
+        total_budget_fraction=0.2,
+        workload="YCSB-C",
+        record_count=300,
+        operation_count=900,
+        epochs=3,
+        tenants=2,
+        membership=((1, "add", 3), (2, "remove", 0)),
+    )
     tracer = RecordingTracer()
-    plan = plan_cluster(SPEC, tracer=tracer)
-    rebalances = tracer.events_of(ShardRebalance)
-    leases = tracer.events_of(BudgetLease)
-    assert len(rebalances) == SPEC.epochs
-    assert len(leases) == SPEC.epochs * SPEC.shards
-    assert [event.as_dict() for event in rebalances] + [
-        event.as_dict() for event in leases
-    ] == sorted(plan.events, key=lambda e: (e["type"] != "ShardRebalance"))
+    plan = plan_cluster(spec, tracer=tracer)
+    assert plan.events == [event.as_dict() for event in tracer.events]
+    assert {event["type"] for event in plan.events} == {
+        "ShardMigration",
+        "DemandStarved",
+        "ShardRebalance",
+        "BudgetLease",
+        "BudgetHandoff",
+    }
+    rebalances = [e for e in plan.events if e["type"] == "ShardRebalance"]
+    assert len(rebalances) == spec.epochs
     for event in rebalances:
-        assert event.leased_pages <= event.capacity_pages
+        assert event["leased_pages"] <= event["capacity_pages"]
+    # The untraced plan records the same events.
+    assert plan_cluster(spec).events == plan.events
 
 
 def test_tenant_ops_partition_the_stream():
@@ -195,6 +169,30 @@ def test_tenant_ops_partition_the_stream():
     assert all(count > 0 for count in totals)
 
 
+def test_spec_rejects_invalid_tenant_quotas():
+    """Quotas are checked when the spec is built, baseline runs included."""
+    for quotas in ((0.9, 0.9), (1.0, 0.0), (1.2, -0.2)):
+        for fraction in (None, 0.5):
+            with pytest.raises(ValueError, match="tenant quotas"):
+                ClusterSpec(
+                    shards=2,
+                    total_budget_fraction=fraction,
+                    tenants=2,
+                    tenant_quotas=quotas,
+                )
+    with pytest.raises(ValueError, match="tenant quotas"):
+        ClusterGrid(
+            total_budgets_gb=(None,), tenants=2, tenant_quotas=(0.9, 0.9)
+        )
+    valid = ClusterSpec(
+        shards=2,
+        total_budget_fraction=0.5,
+        tenants=2,
+        tenant_quotas=(0.7, 0.3),
+    )
+    assert valid.quotas() == (0.7, 0.3)
+
+
 def test_spec_and_job_validation():
     with pytest.raises(ValueError):
         ClusterSpec(shards=0, total_budget_fraction=0.5)
@@ -213,36 +211,21 @@ def test_spec_and_job_validation():
         ClusterSpec(
             shards=2, total_budget_fraction=0.5, pool_degrade=((9, 0.5),)
         )
+    job_spec = ClusterSpec(
+        shards=2,
+        total_budget_fraction=None,
+        record_count=100,
+        operation_count=100,
+        epochs=2,
+        vnodes=8,
+    )
     with pytest.raises(ValueError):
-        ShardJob(
-            index=0,
-            shard=5,
-            shards=2,
-            vnodes=8,
-            ring_seed=17,
-            workload="YCSB-A",
-            theta=0.99,
-            seed=42,
-            record_count=100,
-            operation_count=100,
-            epochs=2,
-            tenants=1,
-            budget_schedule=None,
-        )
+        ShardJob(index=0, shard=5, spec=job_spec, budget_schedule=None)
     with pytest.raises(ValueError):
         ShardJob(
             index=0,
             shard=0,
-            shards=2,
-            vnodes=8,
-            ring_seed=17,
-            workload="YCSB-A",
-            theta=0.99,
-            seed=42,
-            record_count=100,
-            operation_count=100,
-            epochs=2,
-            tenants=1,
+            spec=job_spec,
             budget_schedule=(10,),  # 1 lease for 2 epochs
         )
 
@@ -322,6 +305,28 @@ class TestClusterCommand:
         )
         schedule = run["summary"]["pool"]["capacity_schedule"]
         assert schedule[1] < schedule[0]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--shards", "0"], "shards must be positive"),
+            (["--total-budgets-gb", "-1"], "budget fraction must be positive"),
+            (
+                ["--tenants", "2", "--tenant-quotas", "0.9,0.9"],
+                "tenant quotas must sum to 1",
+            ),
+        ],
+        ids=["zero-shards", "negative-budget", "quotas-over-1"],
+    )
+    def test_invalid_grid_exits_2_without_traceback(
+        self, capsys, flags, message
+    ):
+        assert main(CLUSTER_ARGS + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid grid: ")
+        assert message in err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
 
     def test_list_mentions_cluster(self, capsys):
         assert main(["list"]) == 0

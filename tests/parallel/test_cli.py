@@ -58,6 +58,31 @@ class TestSweepCommand:
         assert main(["sweep", "--grid", str(grid_path)]) == 0
         assert "Budget sweep (2 jobs" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--budgets-gb", "-1"], "budget fraction must be positive"),
+            (["--thetas", "1.5"], "theta must be in (0, 1)"),
+            (["--ops", "0"], "operation_count must be positive"),
+        ],
+        ids=["negative-budget", "theta-out-of-range", "zero-ops"],
+    )
+    def test_invalid_grid_exits_2_without_traceback(
+        self, capsys, flags, message
+    ):
+        assert main(SWEEP_ARGS + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid grid: ")
+        assert message in err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+    def test_invalid_grid_file_exits_2(self, capsys, tmp_path):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"bogus_key": 1}))
+        assert main(["sweep", "--grid", str(grid_path)]) == 2
+        assert "invalid grid: unknown grid keys" in capsys.readouterr().err
+
     def test_keyboard_interrupt_exits_130(self, monkeypatch, capsys):
         import repro.parallel
 
