@@ -109,6 +109,12 @@ class Flusher:
         # Boolean mirror of ``_inflight`` membership, so the victim-queue
         # rebuild can mask candidates without a per-page Python call.
         self.inflight_mask = np.zeros(region.num_pages, dtype=bool)
+        # Hot-path aliases, fixed for the flusher's lifetime: the issue and
+        # completion path reads the clock and the dirty set directly.
+        self._clock = sim.clock
+        self._dirty = tracker._dirty
+        # Only the hardware-assisted MMU keeps a dirty counter to release.
+        self._page_cleaned = getattr(mmu, "page_cleaned", None)
         self.tracer = tracer
         self._flush_latency = (
             tracer.metrics.histogram("flush_latency_ns") if tracer.enabled else None
@@ -144,85 +150,96 @@ class Flusher:
         when that hook is set, else the whole page); the durable snapshot
         is always the full page image.
         """
-        if pfn in self._inflight:
+        inflight = self._inflight
+        if pfn in inflight:
             raise RuntimeError(f"page {pfn} is already being flushed")
-        if pfn not in self.tracker:
+        if pfn not in self._dirty:
             raise RuntimeError(f"page {pfn} is not dirty; nothing to flush")
-        if not self.has_slot():
+        if len(inflight) >= self.max_outstanding:
             raise RuntimeError(
                 f"flush queue full ({self.max_outstanding} outstanding)"
             )
+        region = self.region
+        page_size = region.page_size
         if nbytes is None:
             if self.flush_bytes_of is not None:
                 nbytes = self.flush_bytes_of(pfn)
             else:
-                nbytes = self.region.page_size
-        if not 0 < nbytes <= self.region.page_size:
-            raise ValueError(
-                f"flush size {nbytes} outside (0, {self.region.page_size}]"
-            )
+                nbytes = page_size
+        if not 0 < nbytes <= page_size:
+            raise ValueError(f"flush size {nbytes} outside (0, {page_size}]")
+        stats = self.stats
         cost = self.mmu.protect_page(pfn)
-        self.stats.pte_update_time_ns += cost
-        data = self.region.page_bytes(pfn)
-        version = int(self.region.page_version[pfn])
+        stats.pte_update_time_ns += cost
+        data = region.page_bytes(pfn)
+        version = int(region.page_version[pfn])
         physical = nbytes
         if self.reducer is not None:
             reduced = self.reducer.process(data[:nbytes])
             physical = max(1, reduced.physical_bytes)
             cost += reduced.cpu_cost_ns
-        issued_at = self.sim.now
-        completion, backoff_ns = self._submit_with_retry(pfn, issued_at, physical)
-        cost += backoff_ns
-        self._inflight[pfn] = completion
-        self.inflight_mask[pfn] = True
-        self.stats.pages_flushed += 1
-        self.stats.bytes_flushed += nbytes
+        issued_at = self._clock._now
+        try:
+            completion = self.ssd.submit_write(issued_at, physical)
+        except SSDFaultError as exc:
+            completion, backoff_ns = self._retry_submit(
+                pfn, issued_at, physical, exc
+            )
+            cost += backoff_ns
+        inflight[pfn] = completion
+        inflight_mask = self.inflight_mask
+        inflight_mask[pfn] = True
+        stats.pages_flushed += 1
+        stats.bytes_flushed += nbytes
+        tracker = self.tracker
 
         def complete() -> None:
             self.backing.persist(pfn, data, version)
-            self.tracker.remove(pfn)
-            del self._inflight[pfn]
-            self.inflight_mask[pfn] = False
-            self.stats.flush_completions += 1
+            tracker.remove(pfn)
+            del inflight[pfn]
+            inflight_mask[pfn] = False
+            stats.flush_completions += 1
             if self.tracer.enabled:
                 latency = completion - issued_at
                 self.tracer.emit(
                     FlushComplete(t=completion, pfn=pfn, latency_ns=latency)
                 )
                 self._flush_latency.observe(latency)
-            cleaned = getattr(self.mmu, "page_cleaned", None)
-            if cleaned is not None:
-                cleaned(pfn)
+            if self._page_cleaned is not None:
+                self._page_cleaned(pfn)
             if self.on_cleaned is not None:
                 self.on_cleaned(pfn)
 
-        self.sim.schedule_at(completion, complete)
+        self.sim.events.schedule(completion, complete)
         return cost
 
-    def _submit_with_retry(self, pfn: int, issued_at: int, physical: int):
-        """Submit ``physical`` bytes, retrying rejected submissions.
+    def _retry_submit(
+        self, pfn: int, issued_at: int, physical: int, error: SSDFaultError
+    ):
+        """Re-submit ``physical`` bytes after a rejected first attempt.
 
         Returns ``(completion_ns, backoff_ns)`` where ``backoff_ns`` is
-        the total virtual time the issuing thread spent backing off (zero
-        on first-attempt success, which is the only path a fault-free run
-        ever takes).  On exhaustion, rolls the page's protection back and
-        raises :class:`FlushFailure`.
+        the total virtual time the issuing thread spent backing off.  A
+        fault-free run never gets here: the first submission is made
+        inline by :meth:`issue`.  On exhaustion, rolls the page's
+        protection back and raises :class:`FlushFailure`.
         """
         backoff_ns = 0
         attempt = 1
         while True:
+            if attempt > self.max_retries:
+                self.retry_failures += 1
+                # Roll back the protect-before-copy step: the flush never
+                # happened, so the page stays dirty *and* writable instead
+                # of wedging behind a protection it will never be
+                # released from.
+                self.mmu.unprotect_page(pfn)
+                raise FlushFailure(pfn, attempt, error) from error
+            self.retries += 1
+            backoff_ns += self.retry_backoff_ns * (2 ** (attempt - 1))
+            attempt += 1
             try:
                 completion = self.ssd.submit_write(issued_at + backoff_ns, physical)
                 return completion, backoff_ns
             except SSDFaultError as exc:
-                if attempt > self.max_retries:
-                    self.retry_failures += 1
-                    # Roll back the protect-before-copy step: the flush
-                    # never happened, so the page stays dirty *and*
-                    # writable instead of wedging behind a protection it
-                    # will never be released from.
-                    self.mmu.unprotect_page(pfn)
-                    raise FlushFailure(pfn, attempt, exc) from exc
-                self.retries += 1
-                backoff_ns += self.retry_backoff_ns * (2 ** (attempt - 1))
-                attempt += 1
+                error = exc

@@ -1,9 +1,9 @@
 """Least-recently-updated victim selection (section 5.2).
 
 At every epoch boundary Viyojit walks the page table, reads and clears the
-dirty bits, and shifts each page's update history: bit *i* of the history
-word says whether the page was updated *i* epochs ago.  The paper keeps
-the last 64 epochs, which fits one uint64 per page.
+dirty bits, and folds the result into each page's update history.  The
+paper keeps the last 64 epochs (one history bit per epoch, one uint64 per
+page).
 
 Victims for copying out are the *least recently updated* pages — the
 write-only analogue of LRU.  Pages are ordered by the epoch of their most
@@ -18,24 +18,30 @@ raw absolute epochs would let an update from hundreds of epochs ago
 outrank a genuinely-never-updated page forever, inverting coldness among
 long-idle pages.
 
-The per-page update *count* over the window is maintained incrementally
-(one vectorized add/subtract per scan) rather than recomputed by popcount
-at every ranking — victim ranking is on the epoch hot path.
+Representation.  The history keeps the updated-page arrays of the last
+``history_epochs`` scans plus a per-page update count.  A scan
+adds one to the update count of the pages it saw and subtracts one from
+the pages of the scan that leaves the window, so it costs O(updated +
+dropped) rather than a pass over every page.  Each page also carries one
+precomputed *rank key*, ``((last + 1) * 65 + count) * num_pages + pfn``
+(``last = -1`` once the page's updates have all left the window), which
+only the pages a scan touches need refreshed.  Ascending key order is
+ascending ``(last, count, pfn)`` order, so ranking is a gather, a
+partition and a sort, and ``key % num_pages`` recovers the page.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Union
+from collections import deque
+from typing import Deque, Iterable, List, Union
 
 import numpy as np
 
-_UINT64_ONE = np.uint64(1)
-
-
-def _popcount(values: np.ndarray) -> np.ndarray:
-    """Per-element popcount of a uint64 array (vectorized, no Python loop)."""
-    view = values.view(np.uint8).reshape(values.shape + (8,))
-    return np.unpackbits(view, axis=-1).sum(axis=-1)
+#: Rank-key headroom: ``count`` is at most 64, so ``(last + 1) * 65 +
+#: count`` orders by ``last`` first.
+_COUNT_RADIX = 65
+#: Composite keys stay below this bound (int64 with room to spare).
+_KEY_LIMIT = 2**62
 
 
 class UpdateHistory:
@@ -48,18 +54,24 @@ class UpdateHistory:
             raise ValueError(f"history_epochs must be in [1, 64]: {history_epochs}")
         self.num_pages = int(num_pages)
         self.history_epochs = int(history_epochs)
-        self._history = np.zeros(self.num_pages, dtype=np.uint64)
+        # Updated-page arrays of the remembered scans, oldest first.
+        self._window: Deque[np.ndarray] = deque()
         # Epoch of the most recent observed update; -1 = never observed.
         self._last_update = np.full(self.num_pages, -1, dtype=np.int64)
-        # Incrementally-maintained per-page popcount of ``_history``.
+        # Per-page number of remembered scans that saw an update.
         self._counts = np.zeros(self.num_pages, dtype=np.int64)
-        self._mask = (
-            np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-            if history_epochs == 64
-            else np.uint64((1 << history_epochs) - 1)
-        )
-        self._oldest_bit = np.uint64(history_epochs - 1)
+        # Rank key per page; every page starts never-updated (key = pfn).
+        self._keys = np.arange(self.num_pages, dtype=np.int64)
         self.epoch = 0
+
+    def _keys_fit(self) -> bool:
+        """Do keys up to the current epoch fit the int64 composite?
+
+        Checked in exact Python arithmetic: numpy wraps int64 overflow
+        silently.  Only fails after ~2^56 epochs; from then on the keys
+        go stale and ranking takes the three-key lexsort.
+        """
+        return (self.epoch + 2) * _COUNT_RADIX * self.num_pages < _KEY_LIMIT
 
     def record_scan(self, updated_pfns: np.ndarray) -> None:
         """Fold one epoch's dirty-bit scan results into the history.
@@ -68,19 +80,33 @@ class UpdateHistory:
         epoch that just ended (the output of
         :meth:`repro.mem.PageTable.scan_and_clear_dirty`).
         """
-        # The window's oldest bit falls off the edge on this shift; keep
-        # the per-page popcount in sync without re-counting every word.
-        dropped = (self._history >> self._oldest_bit) & _UINT64_ONE
-        np.subtract(
-            self._counts, dropped.astype(np.int64), out=self._counts
-        )
-        self._history = (self._history << _UINT64_ONE) & self._mask
-        if len(updated_pfns):
-            self._history[updated_pfns] |= _UINT64_ONE
-            self._last_update[updated_pfns] = self.epoch
-            # Bit 0 is always clear right after the shift, so every
-            # updated page gains exactly one set bit.
-            self._counts[updated_pfns] += 1
+        updated = np.array(updated_pfns, dtype=np.int64)
+        counts = self._counts
+        window = self._window
+        window.append(updated)
+        touched = updated
+        if len(window) > self.history_epochs:
+            dropped = window.popleft()
+            if len(dropped):
+                counts[dropped] -= 1
+                touched = np.concatenate((dropped, updated))
+        if len(updated):
+            counts[updated] += 1
+            self._last_update[updated] = self.epoch
+        if len(touched) and self._keys_fit():
+            # Re-key every page whose count or last update just changed.
+            # A page in both arrays gets the same key twice.
+            left = counts[touched]
+            keys = self._last_update[touched]
+            keys += 1
+            # A page with no update left in the window keys as never
+            # updated (last + 1 == 0).
+            keys *= left > 0
+            keys *= _COUNT_RADIX
+            keys += left
+            keys *= self.num_pages
+            keys += touched
+            self._keys[touched] = keys
         self.epoch += 1
 
     def last_update_epoch(self, pfn: int) -> int:
@@ -100,9 +126,8 @@ class UpdateHistory:
     def _ranking_keys(self, pfns: np.ndarray):
         """``(last, counts)`` ranking keys with out-of-window aging.
 
-        An update whose epoch has scrolled past the remembered window has
-        every history bit cleared (``counts == 0``); such pages rank as
-        never-observed (``last == -1``) instead of carrying their stale
+        A page with no update left in the window (``counts == 0``) ranks
+        as never-observed (``last == -1``) instead of carrying its stale
         absolute epoch forever.
         """
         counts = self._counts[pfns]
@@ -116,34 +141,23 @@ class UpdateHistory:
         (less write-popular first), then by page number for determinism.
         Updates older than the window rank as never-observed.
 
-        The three lexicographic keys pack into one int64 composite —
-        ``counts`` is bounded by the 64-epoch window and ``pfn`` by the
-        region size, so ascending composite order IS ascending
-        ``(last, counts, pfn)`` order — which lets an ``argpartition``
-        isolate the top ``k`` before the full sort.  Victim ranking runs
-        at every epoch boundary over every dirty candidate; partitioning
-        first makes the per-epoch cost O(n + k log k) instead of
-        O(n log n).
+        Gathers the candidates' rank keys, partitions out the ``k``
+        smallest, sorts those and maps each back to its page: O(n + k log
+        k) per ranking with no per-ranking key arithmetic.
         """
         pfns = self._as_pfn_array(candidates)
         if len(pfns) == 0 or k <= 0:
             return []
-        last, counts = self._ranking_keys(pfns)
         k = min(k, len(pfns))
-        # last < epoch and counts <= 64; numpy wraps int64 overflow
-        # silently, so bound the composite in exact Python arithmetic
-        # first and fall back to the three-key lexsort if it could wrap
-        # (only reachable after ~2^56 epochs).
-        if (self.epoch + 2) * 65 * self.num_pages >= 2**62:
+        if not self._keys_fit():
+            last, counts = self._ranking_keys(pfns)
             order = np.lexsort((pfns, counts, last))
-            return [int(p) for p in pfns[order[:k]]]
-        composite = ((last + 1) * 65 + counts) * self.num_pages + pfns
-        if k < len(pfns):
-            top = np.argpartition(composite, k - 1)[:k]
-            top = top[np.argsort(composite[top])]
-        else:
-            top = np.argsort(composite)
-        return [int(p) for p in pfns[top]]
+            return pfns[order[:k]].tolist()
+        keys = self._keys[pfns]
+        if k < len(keys):
+            keys = np.partition(keys, k - 1)[:k]
+        keys.sort()
+        return (keys % self.num_pages).tolist()
 
     def hottest(self, candidates: Union[np.ndarray, Iterable[int]], k: int) -> List[int]:
         """The ``k`` most-recently-updated pages (diagnostics / tests)."""
@@ -152,4 +166,4 @@ class UpdateHistory:
             return []
         last, counts = self._ranking_keys(pfns)
         order = np.lexsort((pfns, -counts, -last))
-        return [int(p) for p in pfns[order[: min(k, len(pfns))]]]
+        return pfns[order[: min(k, len(pfns))]].tolist()

@@ -477,6 +477,13 @@ class Viyojit(NVDRAMSystem):
             max_retries=config.max_flush_retries,
             retry_backoff_ns=config.flush_retry_backoff_ns,
         )
+        # Policy hot-path aliases: the fault -> flush -> completion cycle
+        # reads the dirty set and the in-flight map directly instead of
+        # through the tracker/flusher accessors (both fixed for the
+        # system's lifetime).
+        self._dirty = self.tracker._dirty
+        self._inflight = self.flusher._inflight
+        self._trap_cost_ns = self.machine.trap_cost_ns
         #: FlushFailures absorbed by the eviction loops (victim rotated).
         self.eviction_flush_failures = 0
         self._victim_queue: Deque[int] = deque()
@@ -531,49 +538,61 @@ class Viyojit(NVDRAMSystem):
     # -- fault handling (Fig 6 steps 3-8) -------------------------------------
 
     def _wait_until(self, when_ns: Optional[int]) -> None:
-        if when_ns is None or when_ns <= self.sim.now:
-            self.sim.drain_due()
+        clock = self._clock
+        before = clock._now
+        if when_ns is None or when_ns <= before:
+            self._drain()
             return
-        before = self.sim.now
         self.sim.run_until(when_ns)
-        blocked = self.sim.now - before
+        blocked = clock._now - before
         self.stats.blocked_time_ns += blocked
         if self._h_blocked is not None and blocked > 0:
             self._h_blocked.observe(blocked)
 
     def _handle_fault(self, pfn: int) -> None:
-        entered_at = self.sim.now
-        self.stats.write_faults += 1
-        self.stats.trap_time_ns += self.machine.trap_cost_ns
-        self._advance(self.machine.trap_cost_ns)
+        clock = self._clock
+        entered_at = clock._now
+        stats = self.stats
+        stats.write_faults += 1
+        stats.trap_time_ns += self._trap_cost_ns
+        # Open-coded ``_advance``: charge the trap, then run due events.
+        now = clock._now = entered_at + self._trap_cost_ns
+        if now >= self._events.next_due_at:
+            self._drain()
 
         # A write landed on a page whose flush is in flight: wait for the
         # IO so the durable copy is a state that really existed, then
         # re-dirty the page through the normal path (section 5.1).
-        if self.flusher.is_inflight(pfn):
-            self.stats.inflight_waits += 1
-            self._wait_until(self.flusher.completion_time(pfn))
+        inflight = self._inflight
+        if pfn in inflight:
+            stats.inflight_waits += 1
+            self._wait_until(inflight[pfn])
 
         # Make room: at the budget, the least-recently-updated dirty page
         # is synchronously written out before this page may be dirtied.
-        self._make_room()
+        tracker = self.tracker
+        dirty = self._dirty
+        if len(dirty) >= tracker.budget_pages:
+            self._make_room()
 
         cost = self.mmu.unprotect_page(pfn)
-        self.stats.pte_update_time_ns += cost
-        self._advance(cost)
+        stats.pte_update_time_ns += cost
+        now = clock._now = clock._now + cost
+        if now >= self._events.next_due_at:
+            self._drain()
         # The PTE-update advance drains due simulation events; a scheduled
         # battery-degradation step may have just shrunk the budget (and
         # drained down to it), so the room made above can be gone again.
-        if self.tracker.at_budget:
+        if len(dirty) >= tracker.budget_pages:
             self._make_room()
-        self.tracker.add(pfn)
+        tracker.add(pfn)
         if self.sanitizer is not None:
             self.sanitizer.after_dirtied(pfn)
         self.policy.note_dirtied(pfn)
-        self.stats.pages_dirtied += 1
-        self.stats.record_dirty_level(self.tracker.count)
+        stats.pages_dirtied += 1
+        stats.record_dirty_level(len(dirty))
         if self._h_fault is not None:
-            self._h_fault.observe(self.sim.now - entered_at)
+            self._h_fault.observe(clock._now - entered_at)
 
     def _make_room(self) -> None:
         """Evict synchronously until the dirty set is under budget.
@@ -586,24 +605,29 @@ class Viyojit(NVDRAMSystem):
         :class:`FlushFailure` propagates to the application.
         """
         consecutive_failures = 0
-        while self.tracker.at_budget:
+        tracker = self.tracker
+        flusher = self.flusher
+        dirty = self._dirty
+        inflight = self._inflight
+        clock = self._clock
+        while len(dirty) >= tracker.budget_pages:
             victim = self._next_victim()
             if victim is None:
                 # Every dirty page is already in flight; the budget frees
                 # up as soon as the earliest IO completes.
                 self.stats.budget_waits += 1
-                wait_from = self.sim.now
-                self._wait_until(self.flusher.earliest_completion())
+                wait_from = clock._now
+                self._wait_until(flusher.earliest_completion())
                 if self.tracer.enabled:
                     self.tracer.emit(
-                        BudgetWait(t=wait_from, wait_ns=self.sim.now - wait_from)
+                        BudgetWait(t=wait_from, wait_ns=clock._now - wait_from)
                     )
                 continue
-            if not self.flusher.has_slot():
-                self._wait_until(self.flusher.earliest_completion())
+            if len(inflight) >= flusher.max_outstanding:
+                self._wait_until(flusher.earliest_completion())
                 continue
             try:
-                issue_cost = self.flusher.issue(victim)
+                issue_cost = flusher.issue(victim)
             except FlushFailure:
                 self.eviction_flush_failures += 1
                 consecutive_failures += 1
@@ -615,40 +639,43 @@ class Viyojit(NVDRAMSystem):
             self.stats.sync_evictions += 1
             if self.tracer.enabled:
                 self.tracer.emit(
-                    SyncEviction(
-                        t=self.sim.now, pfn=victim, dirty=self.tracker.count
-                    )
+                    SyncEviction(t=clock._now, pfn=victim, dirty=len(dirty))
                 )
-            self._wait_until(self.flusher.completion_time(victim))
+            self._wait_until(inflight.get(victim))
 
     # -- victim selection ------------------------------------------------------
 
     def _rebuild_victim_queue(self) -> None:
         want = max(self.config.max_outstanding_io * 4, 64)
-        if self.policy.order_insensitive and self.tracker.dirty_mask is not None:
+        dirty_mask = self.tracker.dirty_mask
+        if self.policy.order_insensitive and dirty_mask is not None:
             # One vectorized step over the membership masks; valid only
             # because the policy's ranking is a pure function of the
             # candidate set, not of the order we materialize it in.
-            if self.flusher.outstanding:
-                mask = self.tracker.dirty_mask & ~self.flusher.inflight_mask
+            if self._inflight:
+                # Dirty and not in flight, in one pass: True > False.
+                mask = np.greater(dirty_mask, self.flusher.inflight_mask)
             else:
-                mask = self.tracker.dirty_mask
-            candidates: Union[np.ndarray, List[int]] = np.flatnonzero(mask)
+                mask = dirty_mask
+            candidates: Union[np.ndarray, List[int]] = mask.nonzero()[0]
         else:
-            candidates = [
-                pfn for pfn in self.tracker if not self.flusher.is_inflight(pfn)
-            ]
+            inflight = self._inflight
+            candidates = [pfn for pfn in self._dirty if pfn not in inflight]
         self._victim_queue = deque(self.policy.rank(candidates, want))
 
     def _next_victim(self) -> Optional[int]:
-        while self._victim_queue:
-            pfn = self._victim_queue.popleft()
-            if pfn in self.tracker and not self.flusher.is_inflight(pfn):
+        dirty = self._dirty
+        inflight = self._inflight
+        queue = self._victim_queue
+        while queue:
+            pfn = queue.popleft()
+            if pfn in dirty and pfn not in inflight:
                 return pfn
         self._rebuild_victim_queue()
-        while self._victim_queue:
-            pfn = self._victim_queue.popleft()
-            if pfn in self.tracker and not self.flusher.is_inflight(pfn):
+        queue = self._victim_queue
+        while queue:
+            pfn = queue.popleft()
+            if pfn in dirty and pfn not in inflight:
                 return pfn
         return None
 
@@ -714,24 +741,24 @@ class Viyojit(NVDRAMSystem):
         self._proactive_threshold = self.pressure.threshold(
             self.tracker.budget_pages
         )
-        excess = (
-            self.tracker.count
-            - self.flusher.outstanding
-            - self._proactive_threshold
-        )
-        while excess > 0 and self.flusher.has_slot():
+        dirty = self._dirty
+        inflight = self._inflight
+        flusher = self.flusher
+        clock = self._clock
+        excess = len(dirty) - len(inflight) - self._proactive_threshold
+        while excess > 0 and len(inflight) < flusher.max_outstanding:
             victim = self._next_victim()
             if victim is None:
                 break
-            issue_cost = self.flusher.issue(victim)
-            self.sim.clock.advance(issue_cost)
+            issue_cost = flusher.issue(victim)
+            clock.advance(issue_cost)
             self.stats.proactive_flushes += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     ProactiveFlush(
-                        t=self.sim.now,
+                        t=clock._now,
                         pfn=victim,
-                        dirty=self.tracker.count,
+                        dirty=len(dirty),
                         threshold=self._proactive_threshold,
                     )
                 )
@@ -749,22 +776,22 @@ class Viyojit(NVDRAMSystem):
         self.policy.note_cleaned(pfn)
         if not self.config.proactive or not self._started:
             return
+        inflight = self._inflight
         if (
-            self.tracker.count - self.flusher.outstanding
-            > self._proactive_threshold
-            and self.flusher.has_slot()
+            len(self._dirty) - len(inflight) > self._proactive_threshold
+            and len(inflight) < self.flusher.max_outstanding
         ):
             victim = self._next_victim()
             if victim is not None:
                 issue_cost = self.flusher.issue(victim)
-                self.sim.clock.advance(issue_cost)
+                self._clock.advance(issue_cost)
                 self.stats.proactive_flushes += 1
                 if self.tracer.enabled:
                     self.tracer.emit(
                         ProactiveFlush(
-                            t=self.sim.now,
+                            t=self._clock._now,
                             pfn=victim,
-                            dirty=self.tracker.count,
+                            dirty=len(self._dirty),
                             threshold=self._proactive_threshold,
                         )
                     )

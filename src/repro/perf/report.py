@@ -29,10 +29,12 @@ run per system (``viyojit``, ``nvdram``), the sweep pair,
 
 Everything outside ``wall`` is a pure function of the simulation: two
 runs of the same tree produce byte-identical text once the ``wall`` key
-is dropped.  That invariant is what ``tests/perf`` locks down, and it is
-why the CI comparison below only ever reads ``wall`` — regressions in
-the deterministic sections are simulation changes and belong to the
-golden-trace tests, not the perf gate.
+is dropped.  That invariant is what ``tests/perf`` locks down.  CI
+gates the two parts separately: :func:`compare_reports` below reads only
+``wall`` (a tolerance on noisy host time), while the perf-smoke job
+requires :func:`deterministic_view` of a fresh quick run to equal the
+checked-in baseline's byte for byte, so any change to the simulated work
+(an extra scan, a different victim, one more SSD write) fails exactly.
 """
 
 from __future__ import annotations

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional
 
 from repro.sim.clock import SimClock
 
@@ -21,17 +20,18 @@ from repro.sim.clock import SimClock
 NEVER_NS = 1 << 63
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """A callback scheduled at an absolute virtual time.
 
-    Events compare by ``(when_ns, seq)`` so that simultaneous events fire
-    in the order they were scheduled — important for determinism.
+    Events order as tuples, by ``(when_ns, seq)`` — ``seq`` is unique, so
+    ``action`` is never compared — which makes simultaneous events fire
+    in the order they were scheduled (important for determinism) and
+    lets the heap hold the events themselves.
     """
 
     when_ns: int
     seq: int
-    action: Callable[[], None] = field(compare=False)
+    action: Callable[[], None]
 
 
 class EventQueue:
@@ -40,14 +40,12 @@ class EventQueue:
     :attr:`next_due_at` is a *lower bound* on the earliest pending
     event's timestamp (``NEVER_NS`` when empty), maintained so hot-path
     callers can skip :meth:`pop_due` entirely while the clock has not
-    reached it.  Cancellations may leave the bound conservatively early —
-    never late — so "clock below the bound" always means "nothing due".
+    reached it: "clock below the bound" always means "nothing due".
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, Event]] = []
+        self._heap: List[Event] = []
         self._counter = itertools.count()
-        self._cancelled: set = set()
         self.next_due_at: int = NEVER_NS
 
     def __len__(self) -> int:
@@ -57,28 +55,17 @@ class EventQueue:
         """Schedule ``action`` to run at absolute time ``when_ns``."""
         if when_ns < 0:
             raise ValueError(f"cannot schedule event at negative time: {when_ns}")
-        event = Event(when_ns=int(when_ns), seq=next(self._counter), action=action)
-        heapq.heappush(self._heap, (event.when_ns, event.seq, event))
-        if event.when_ns < self.next_due_at:
-            self.next_due_at = event.when_ns
+        when_ns = int(when_ns)
+        event = Event(when_ns, next(self._counter), action)
+        heapq.heappush(self._heap, event)
+        if when_ns < self.next_due_at:
+            self.next_due_at = when_ns
         return event
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event (lazily removed on pop)."""
-        self._cancelled.add((event.when_ns, event.seq))
-
-    def _refresh_bound(self) -> None:
-        self.next_due_at = self._heap[0][0] if self._heap else NEVER_NS
 
     def peek_time(self) -> Optional[int]:
         """Timestamp of the earliest pending event, or ``None`` if empty."""
-        while self._heap:
-            when, seq, _event = self._heap[0]
-            if (when, seq) in self._cancelled:
-                heapq.heappop(self._heap)
-                self._cancelled.discard((when, seq))
-                continue
-            self.next_due_at = when
+        if self._heap:
+            when = self.next_due_at = self._heap[0][0]
             return when
         self.next_due_at = NEVER_NS
         return None
@@ -87,20 +74,16 @@ class EventQueue:
         """Pop the earliest event with timestamp <= ``now_ns``, if any."""
         if now_ns < self.next_due_at:
             return None
-        while self._heap:
-            when, seq, event = self._heap[0]
-            if (when, seq) in self._cancelled:
-                heapq.heappop(self._heap)
-                self._cancelled.discard((when, seq))
-                continue
-            if when > now_ns:
-                self.next_due_at = when
-                return None
-            heapq.heappop(self._heap)
-            self._refresh_bound()
-            return event
-        self.next_due_at = NEVER_NS
-        return None
+        heap = self._heap
+        if not heap:
+            self.next_due_at = NEVER_NS
+            return None
+        if heap[0][0] > now_ns:
+            self.next_due_at = heap[0][0]
+            return None
+        event = heapq.heappop(heap)
+        self.next_due_at = heap[0][0] if heap else NEVER_NS
+        return event
 
 
 class Simulation:
@@ -139,8 +122,10 @@ class Simulation:
         events; those fire too if they are already due.
         """
         fired = 0
+        clock = self.clock
+        pop_due = self.events.pop_due
         while True:
-            event = self.events.pop_due(self.clock.now)
+            event = pop_due(clock._now)
             if event is None:
                 return fired
             event.action()

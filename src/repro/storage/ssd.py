@@ -118,10 +118,11 @@ class SSD:
         self, now_ns: int, latency_ns: int, size: int, bandwidth: float
     ) -> Tuple[int, int]:
         transfer_ns = round(size * NS_PER_SEC / bandwidth)
-        free_at = heapq.heappop(self._slots)
-        start = max(now_ns, free_at)
+        # The earliest-free slot takes the IO.
+        free_at = self._slots[0]
+        start = now_ns if now_ns > free_at else free_at
         finish = start + latency_ns + transfer_ns
-        heapq.heappush(self._slots, finish)
+        heapq.heapreplace(self._slots, finish)
         return start, finish
 
     def submit_write(self, now_ns: int, size_bytes: int) -> int:

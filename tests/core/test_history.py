@@ -3,17 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.history import UpdateHistory, _popcount
-
-
-class TestPopcount:
-    def test_known_values(self):
-        values = np.array([0, 1, 3, 0xFF, 2**63], dtype=np.uint64)
-        assert _popcount(values).tolist() == [0, 1, 2, 8, 1]
-
-    def test_all_ones(self):
-        values = np.array([0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-        assert _popcount(values).tolist() == [64]
+from repro.core.history import UpdateHistory
 
 
 class TestRecordScan:

@@ -13,7 +13,7 @@ These are the paper's guarantees stated as machine-checked properties:
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import ViyojitConfig
 from repro.core.crash import CrashSimulator, viyojit_battery
@@ -137,38 +137,72 @@ def test_tracker_count_matches_set_semantics(ops, budget):
         assert tracker.snapshot() == model
 
 
+HISTORY_PAGES = 32
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     scans=st.lists(
-        st.lists(st.integers(0, 31), max_size=8),
+        st.lists(st.integers(0, HISTORY_PAGES - 1), max_size=8),
         min_size=1,
-        max_size=70,
-    )
+        max_size=150,
+    ),
+    candidates=st.lists(
+        st.integers(0, HISTORY_PAGES - 1), max_size=HISTORY_PAGES, unique=True
+    ),
+    k=st.integers(1, HISTORY_PAGES + 4),
 )
-def test_history_coldest_matches_bruteforce(scans):
-    """coldest() agrees with a brute-force sort on (last_update, count)."""
-    history = UpdateHistory(32, history_epochs=16)
-    last = {}
-    window = []
-    for epoch, pfns in enumerate(scans):
-        history.record_scan(np.array(sorted(set(pfns)), dtype=np.int64))
-        for pfn in set(pfns):
-            last[pfn] = epoch
-        window.append(set(pfns))
-        window = window[-16:]
+@example(
+    # 150 scans with every third one empty: every window size wraps.
+    scans=[
+        [] if i % 3 == 0 else [i % HISTORY_PAGES, (7 * i) % HISTORY_PAGES]
+        for i in range(150)
+    ],
+    candidates=list(range(HISTORY_PAGES)),
+    k=5,
+)
+def test_history_coldest_matches_bruteforce(scans, candidates, k):
+    """Every history query agrees with a brute-force model after every scan.
 
-    candidates = list(range(32))
+    The model keeps each scan's page set and counts/orders from scratch:
+    ``update_count`` is the number of remembered scans that saw the page,
+    ``last_update_epoch`` the last scan that ever saw it, and ``coldest``
+    / ``hottest`` sort on ``(last_update, count, pfn)``.
+    """
+    for history_epochs in (1, 2, 16, 64):
+        history = UpdateHistory(HISTORY_PAGES, history_epochs=history_epochs)
+        last = {}
+        window = []
+        for epoch, pfns in enumerate(scans):
+            history.record_scan(np.array(sorted(set(pfns)), dtype=np.int64))
+            for pfn in set(pfns):
+                last[pfn] = epoch
+            window.append(set(pfns))
+            window = window[-history_epochs:]
 
-    def brute_key(pfn):
-        count = sum(1 for epoch_set in window if pfn in epoch_set)
-        # Updates older than the history window are gone: a page with no
-        # in-window updates ranks as never-observed, even if it was updated
-        # before the window slid past it.
-        last_update = last.get(pfn, -1) if count > 0 else -1
-        return (last_update, count, pfn)
+            def count(pfn):
+                return sum(1 for epoch_set in window if pfn in epoch_set)
 
-    expected = sorted(candidates, key=brute_key)[:5]
-    assert history.coldest(candidates, 5) == expected
+            def brute_key(pfn):
+                # Updates older than the history window are gone: a page
+                # with no in-window updates ranks as never-observed, even
+                # if it was updated before the window slid past it.
+                last_update = last.get(pfn, -1) if count(pfn) > 0 else -1
+                return (last_update, count(pfn), pfn)
+
+            def hot_key(pfn):
+                last_update, updates, _ = brute_key(pfn)
+                return (-last_update, -updates, pfn)
+
+            for pfn in range(HISTORY_PAGES):
+                assert history.update_count(pfn) == count(pfn)
+                assert history.last_update_epoch(pfn) == last.get(pfn, -1)
+            expected = sorted(candidates, key=brute_key)[:k]
+            assert history.coldest(candidates, k) == expected
+            assert history.coldest(np.array(candidates, dtype=np.int64), k) == expected
+            assert history.hottest(candidates, k) == (
+                sorted(candidates, key=hot_key)[:k]
+            )
 
 
 @settings(max_examples=60, deadline=None)

@@ -50,24 +50,6 @@ class TestEventQueue:
             event.action()
         assert fired == ["a", "b", "c"]
 
-    def test_cancel(self):
-        queue = EventQueue()
-        fired = []
-        keep = queue.schedule(10, lambda: fired.append("keep"))
-        drop = queue.schedule(5, lambda: fired.append("drop"))
-        queue.cancel(drop)
-        assert queue.peek_time() == 10
-        queue.pop_due(100).action()
-        assert fired == ["keep"]
-        assert keep.when_ns == 10
-
-    def test_peek_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.schedule(1, lambda: None)
-        queue.schedule(2, lambda: None)
-        queue.cancel(first)
-        assert queue.peek_time() == 2
-
 
 class TestSimulation:
     def test_schedule_after_is_relative(self):
